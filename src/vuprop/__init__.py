@@ -31,6 +31,7 @@ from .engine import (
     posterior,
     propagate,
     propagate_many,
+    propagate_scenario,
     save_matrix,
     shifted_model_matrix,
 )

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import MeasurementScenario, scenario_matrix
-from .engine import matrix_from_model, propagate_many
+from .distributions import MeasurementScenario, scenario_factors, scenario_sigma
+from .engine import matrix_from_model, propagate_scenario
 from .errors import GridError
 from .grid import Dim, Grid, GridSpec, make_grid
-from .mc import McConfig, gaussian_sampler, mc_propagate
+from .mc import McConfig, draw_samples, gaussian_sampler, location_seed, mc_propagate
 from .models import ModelFunction
 
 
@@ -30,7 +30,6 @@ class BenchRow:
     min_s: float
     max_s: float
     breakdown: dict  # per-phase seconds (medians)
-    backend: str = "cpu"
     unreliable: bool = False
 
     def __post_init__(self):
@@ -105,13 +104,11 @@ def _resolution() -> float:
 def _vup_row(model, grid: Grid, scenario, K, repetitions) -> BenchRow:
     build = _timed(lambda: matrix_from_model(model, grid, K), repetitions)
     matrix = matrix_from_model(model, grid, K)
-    pdf = _timed(lambda: scenario_matrix(grid, scenario), repetitions)
-    P = scenario_matrix(grid, scenario)
-    prop = _timed(lambda: propagate_many(matrix, P), repetitions)
+    pdf = _timed(lambda: scenario_factors(grid, scenario), repetitions)
+    prop = _timed(lambda: propagate_scenario(matrix, scenario), repetitions)
 
     def full():
-        m = matrix_from_model(model, grid, K)
-        propagate_many(m, scenario_matrix(grid, scenario))
+        propagate_scenario(matrix_from_model(model, grid, K), scenario)
 
     med, lo, hi = _timed(full, repetitions)
     return BenchRow(
@@ -123,36 +120,23 @@ def _vup_row(model, grid: Grid, scenario, K, repetitions) -> BenchRow:
 
 def _mc_row(model, grid: Grid, scenario, K, repetitions, seed) -> BenchRow:
     x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    a_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "alpha"]
+    sigma = scenario_sigma(grid, scenario)
     n_samples = grid.size
 
-    def one_location(ell, idx):
+    def sampler_at(ell):
         mean = np.zeros(grid.ndim)
-        sigma = np.empty(grid.ndim)
         mean[x_dims[0]] = ell
-        sigma[x_dims[0]] = scenario.sigma_ell
-        for d in a_dims:
-            sigma[d] = scenario.sigma_alpha
-        sampler = gaussian_sampler(grid, mean, sigma)
-        # Sort-then-bin mode: the classic sample/evaluate/sort/bin baseline.
-        cfg = McConfig(n_samples, K, seed ^ idx, binning=None, sort=True)
-        mc_propagate(model, sampler, cfg)
+        return gaussian_sampler(grid, mean, sigma)
 
     def full():
         for idx, ell in enumerate(scenario.locations):
-            one_location(ell, idx)
+            # Sort-then-bin mode: the classic sample/evaluate/sort/bin baseline.
+            cfg = McConfig(n_samples, K, location_seed(seed, idx), binning=None, sort=True)
+            mc_propagate(model, sampler_at(ell), cfg)
 
     med, lo, hi = _timed(full, repetitions)
     # Phase breakdown measured once on the first location.
-    from .mc import draw_samples
-
-    mean = np.zeros(grid.ndim)
-    sigma = np.empty(grid.ndim)
-    mean[x_dims[0]] = scenario.locations[0]
-    sigma[x_dims[0]] = scenario.sigma_ell
-    for d in a_dims:
-        sigma[d] = scenario.sigma_alpha
-    sampler = gaussian_sampler(grid, mean, sigma)
+    sampler = sampler_at(scenario.locations[0])
     sample = _timed(lambda: draw_samples(sampler, n_samples, seed), max(1, repetitions // 2))
     samples = draw_samples(sampler, n_samples, seed)
     eval_t = _timed(lambda: model.raw(*(samples[:, d] for d in range(grid.ndim))),

@@ -21,12 +21,11 @@ import numpy as np
 from . import __version__
 from .bench import Thresholds, assert_complexity, run_sweep
 from .config import RunConfig
-from .distributions import scenario_matrix
 from .engine import (
     load_matrix,
     matrix_from_model,
     matrix_manifest,
-    propagate_many,
+    propagate_scenario,
     save_matrix,
 )
 from .errors import ConfigError, VupropError
@@ -93,32 +92,54 @@ def cmd_build_matrix(cfg: RunConfig, out_dir: Path, args) -> dict:
     }
 
 
-def _load_or_build(cfg: RunConfig, grid, model, k, matrix_path):
-    if matrix_path is None:
-        return matrix_from_model(model, grid, k), "built"
-    matrix = load_matrix(matrix_path, grid=grid, model_name=model.name)
-    manifest_path = Path(matrix_path).with_suffix(".json")
+def _build_record(matrix_path, grid, model) -> dict | None:
+    """The sidecar's build record from the manifest.json beside it, checked
+    against the config's grid and model; None (with a warning) if absent."""
+    manifest_path = Path(matrix_path).parent / "manifest.json"
+    record = {}
     if manifest_path.exists():
         with open(manifest_path) as fh:
-            recorded = json.load(fh)
-        recorded_hash = recorded.get("matrix", {}).get("grid_hash")
-        if recorded_hash and recorded_hash != _grid_hash(grid.spec):
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:
+                raise VupropError(f"{manifest_path}: unreadable manifest: {exc}") from None
+        if isinstance(manifest, dict) and isinstance(manifest.get("matrix"), dict):
+            record = manifest["matrix"]
+    expected = {"grid_hash": _grid_hash(grid.spec), "model_hash": model.digest}
+    for key, value in expected.items():
+        if key in record and record[key] != value:
+            what = key.split("_")[0]
             raise VupropError(
-                f"{matrix_path}: sidecar was built on a different grid than the config"
+                f"{matrix_path}: sidecar was built on a different {what} than the config"
             )
-    return matrix, "loaded"
+    if not all(key in record for key in expected):
+        print(f"warning: no build record for {matrix_path} in {manifest_path}; "
+              "its grid and model are unchecked", file=sys.stderr)
+        return None
+    return record
 
 
 def cmd_propagate(cfg: RunConfig, out_dir: Path, args) -> dict:
     model = cfg.model()
     grid = make_grid(cfg.grid_spec())
     scenario = cfg.scenario()
-    matrix, source = _load_or_build(cfg, grid, model, cfg.output()["k"], args.matrix)
-    P = scenario_matrix(grid, scenario)
-    out = propagate_many(matrix, P)
+    k = cfg.output()["k"]
+    extra = {}
+    if args.matrix is None:
+        matrix = matrix_from_model(model, grid, k)
+        extra["matrix_source"] = "built"
+    else:
+        matrix = load_matrix(args.matrix, grid=grid, model_name=model.name)
+        extra["matrix_source"] = "loaded"
+        record = _build_record(args.matrix, grid, model)
+        if record is not None:
+            # Carried forward so a later run reading this directory's
+            # manifest still finds the record.
+            extra["matrix"] = record
+    out = propagate_scenario(matrix, scenario)
     _write_heatmap(out_dir / "output_matrix.csv", out.locations,
                    out.binning.centers, out.values)
-    return {"matrix_source": source, "K": out.binning.K, "L": out.n_locations}
+    return {**extra, "K": out.binning.K, "L": out.n_locations}
 
 
 def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
@@ -281,8 +302,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run-config path")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="task-pool size hint (current backend is serial)")
     sub.choices["propagate"].add_argument("--matrix", help="model-matrix sidecar to reuse")
     sub.choices["vars"].add_argument("--scales", help="comma-separated domain fractions")
     sub.choices["mc"].add_argument("--fixed-binning-from",

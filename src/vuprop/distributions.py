@@ -152,38 +152,47 @@ def delta_on_grid(grid: Grid, point) -> ProbabilityVector:
     return ProbabilityVector(values, grid)
 
 
-def scenario_matrix(
-    grid: Grid, scenario: MeasurementScenario, convention: str = "absolute"
-) -> ProbabilityMatrix:
-    """Per-location input probability matrix of truncated Gaussians.
-
-    "absolute": column for location ell is centered at x = ell on the grid.
-    "deviation": the grid's x-coordinate is the deviation from ell; every
-    column is centered at x = 0 and the ell-shift is applied when the model
-    matrix is built (see engine.shifted_model_matrix).
-    """
+def _x_dim(grid: Grid) -> int:
     x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    a_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "alpha"]
     if len(x_dims) != 1:
-        raise GridError(f"scenario_matrix needs exactly one x dimension, got {len(x_dims)}")
-    if convention not in ("absolute", "deviation"):
-        raise GridError(f"unknown convention {convention!r}")
-    xd = x_dims[0]
-    sigma = np.empty(grid.ndim)
-    sigma[xd] = scenario.sigma_ell
-    for d in a_dims:
-        sigma[d] = scenario.sigma_alpha
-    L = scenario.n_locations
+        raise GridError(f"scenario needs exactly one x dimension, got {len(x_dims)}")
+    return x_dims[0]
 
-    if convention == "deviation":
-        # Every column is the same zero-centered Gaussian.
-        base = gaussian_on_grid(grid, np.zeros(grid.ndim), sigma).values
-        cols = np.repeat(base[:, None], L, axis=1)
-        return ProbabilityMatrix(cols, scenario.locations.copy(), grid)
 
-    # Absolute convention: only the x-axis factor depends on ell, so all L
-    # columns assemble from one alpha outer product and an (nx, L) x-factor
-    # block instead of L full per-column outer products.
+def scenario_sigma(grid: Grid, scenario: MeasurementScenario) -> np.ndarray:
+    """Per-dimension Gaussian widths: sigma_ell on x, sigma_alpha on alpha."""
+    return np.array([scenario.sigma_ell if dim.role == "x" else scenario.sigma_alpha
+                     for dim in grid.spec.dims])
+
+
+@dataclass(frozen=True)
+class ScenarioFactors:
+    """Absolute-convention scenario columns in separable form.
+
+    On the grid viewed as (n_pre, nx, n_post) -- the alpha dims before x,
+    x, the alpha dims after x -- column i is
+    pre[:, None, None] * x_block[i][None, :, None] * post[None, None, :].
+    Each x_block row already carries its column's normalization.
+    """
+
+    pre: np.ndarray  # (n_pre,) outer product of the alpha factors before x
+    x_block: np.ndarray  # (L, nx)
+    post: np.ndarray  # (n_post,) outer product of the alpha factors after x
+
+    def column(self, i: int) -> np.ndarray:
+        """Column i, flattened row-major (N floats)."""
+        return (self.pre[:, None, None] * self.x_block[i][None, :, None]
+                * self.post[None, None, :]).ravel()
+
+
+def scenario_factors(grid: Grid, scenario: MeasurementScenario) -> ScenarioFactors:
+    """Per-axis factors of every absolute-convention column, normalized.
+
+    Costs O(N / nx + L * nx): only the x factor depends on the location.
+    """
+    xd = _x_dim(grid)
+    sigma = scenario_sigma(grid, scenario)
+
     def axis_factor(d):
         z = grid.axes[d] / sigma[d]
         return np.exp(-0.5 * z * z)
@@ -198,7 +207,7 @@ def scenario_matrix(
     x_block = np.exp(-0.5 * zx * zx)  # (L, nx)
     # Column sums factor over axes (sum of an outer product is the product of
     # the factor sums), so normalization folds into the x-block up front and
-    # needs no second pass over the assembled (N, L) array.
+    # needs no pass over an assembled column.
     totals = pre.sum() * x_block.sum(axis=1) * post.sum()
     bad = np.flatnonzero(totals <= 0.0)
     if bad.size:
@@ -207,9 +216,38 @@ def scenario_matrix(
             "(mean too far outside the grid)"
         )
     x_block /= totals[:, None]
+    return ScenarioFactors(pre, x_block, post)
+
+
+def scenario_matrix(
+    grid: Grid, scenario: MeasurementScenario, convention: str = "absolute"
+) -> ProbabilityMatrix:
+    """Per-location input probability matrix of truncated Gaussians, (N, L).
+
+    "absolute": column for location ell is centered at x = ell on the grid.
+    "deviation": the grid's x-coordinate is the deviation from ell; every
+    column is centered at x = 0 and the ell-shift is applied when the model
+    matrix is built (see engine.shifted_model_matrix).
+
+    The matrix holds N * L floats; engine.propagate_scenario propagates an
+    absolute-convention scenario without forming it.
+    """
+    if convention not in ("absolute", "deviation"):
+        raise GridError(f"unknown convention {convention!r}")
+    L = scenario.n_locations
+
+    if convention == "deviation":
+        _x_dim(grid)
+        # Every column is the same zero-centered Gaussian.
+        base = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario)).values
+        cols = np.repeat(base[:, None], L, axis=1)
+        return ProbabilityMatrix(cols, scenario.locations.copy(), grid)
+
+    f = scenario_factors(grid, scenario)
     # Assemble with the location axis first, then expose the transposed view:
     # each column is then contiguous in memory, which downstream per-column
     # scatter-adds reward with a ~2x throughput gain.
-    dens = pre[None, :, None, None] * x_block[:, None, :, None] * post[None, None, None, :]
+    dens = (f.pre[None, :, None, None] * f.x_block[:, None, :, None]
+            * f.post[None, None, None, :])
     cols = dens.reshape(L, grid.size).T
     return ProbabilityMatrix(cols, scenario.locations.copy(), grid)

@@ -3,7 +3,11 @@
 The matrix of the discretized deterministic propagator has exactly one
 nonzero (a 1) per input column, so it is stored as an index map
 input-cell -> output-bin and the matrix product degenerates to a scatter-add
-of cost O(N) per propagated column.
+of cost O(N) per propagated column (`propagate`, `propagate_many`).
+
+A measurement scenario needs no per-column pass over the grid:
+`propagate_scenario` propagates all L locations in O(N + L * nx * K) time
+(nx x nodes, K bins) and O(N + L * (nx + K)) memory, independent of N * L.
 """
 
 from __future__ import annotations
@@ -13,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ProbabilityMatrix, ProbabilityVector
+from .distributions import (
+    MeasurementScenario,
+    ProbabilityMatrix,
+    ProbabilityVector,
+    ScenarioFactors,
+    scenario_factors,
+)
 from .errors import EvaluationError, GridError, NoSupportError, SidecarFormatError
 from .grid import Grid
 from .models import ModelFunction, eval_on_grid
@@ -169,6 +179,62 @@ def propagate_many(matrix: SparseModelMatrix, P: ProbabilityMatrix) -> OutputPro
     for i in range(P.n_locations):
         out[:, i] = propagate(matrix, P.columns[:, i])
     return OutputProbabilityMatrix(out, matrix.binning, P.locations.copy())
+
+
+# Branch rule of propagate_scenario. Measured on a 2-vCPU Xeon VM (numpy
+# 2.4.6, one BLAS thread) at N = 1e6, K = 500-5000: the fold costs 10-18 ms
+# while nx * K <= 4 * N, about as much as streaming 2-3 columns (5-7 ms
+# each), so it wins from L = 3 on (L = 2: 16 ms folded, 12-14 ms streamed;
+# L = 4: 16-18 ms folded, 22-32 ms streamed). The cap also bounds the fold's
+# operator A to 4 * N entries, keeping its memory O(N).
+_FOLD_MIN_L = 3
+_FOLD_MAX_RATIO = 4
+
+
+def propagate_scenario(
+    matrix: SparseModelMatrix, scenario: MeasurementScenario
+) -> OutputProbabilityMatrix:
+    """Propagate every absolute-convention location of a scenario.
+
+    Equals propagate_many(matrix, scenario_matrix(matrix.grid, scenario))
+    without forming the (N, L) input matrix. Only the x factor of a column
+    depends on its location, so one of two branches runs, chosen by shape:
+
+    - fold (L >= 3 and nx * K <= 4 * N): the alpha factors and the bin index
+      collapse into the operator A[x, k] = sum_alpha w(alpha) [bin(x, alpha)
+      = k] by one weighted bincount over N; then out = (x_block @ A).T, an
+      (L x nx) @ (nx x K) product. Sums run in another order, so results can
+      differ from the column path by a few ULP.
+    - stream (otherwise): each column is built from the factors (N transient
+      floats) and propagated; bit-identical to the column path.
+    """
+    grid = matrix.grid
+    if grid is None or grid.size != matrix.N:
+        raise GridError("propagate_scenario needs a model matrix built on the scenario's grid")
+    factors = scenario_factors(grid, scenario)
+    L, nx = factors.x_block.shape
+    if L >= _FOLD_MIN_L and nx * matrix.K <= _FOLD_MAX_RATIO * matrix.N:
+        out = _propagate_folded(matrix, factors)
+    else:
+        out = _propagate_streamed(matrix, factors)
+    return OutputProbabilityMatrix(out, matrix.binning, scenario.locations.copy())
+
+
+def _propagate_folded(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:
+    nx = f.x_block.shape[1]
+    K = matrix.K
+    shape = (f.pre.size, nx, f.post.size)
+    index = matrix.bin_of.reshape(shape) + (K * np.arange(nx))[None, :, None]
+    weights = np.broadcast_to(np.multiply.outer(f.pre, f.post)[:, None, :], shape)
+    A = np.bincount(index.ravel(), weights=weights.ravel(), minlength=nx * K)
+    return (f.x_block @ A.reshape(nx, K)).T
+
+
+def _propagate_streamed(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:
+    out = np.empty((matrix.K, f.x_block.shape[0]))
+    for i in range(out.shape[1]):
+        out[:, i] = propagate(matrix, f.column(i))
+    return out
 
 
 def invert(matrix: SparseModelMatrix, prior: ProbabilityVector) -> InvertedModelMatrix:

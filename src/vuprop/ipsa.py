@@ -12,18 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    MeasurementScenario,
-    gaussian_on_grid,
-    scenario_matrix,
-)
+from .distributions import MeasurementScenario, gaussian_on_grid, scenario_sigma
 from .engine import (
     OutputBinning,
     OutputProbabilityMatrix,
     build_model_matrix,
     matrix_from_model,
     propagate,
-    propagate_many,
+    propagate_scenario,
 )
 from .errors import GridError
 from .grid import Dim, Grid, GridSpec, make_grid
@@ -84,9 +80,7 @@ def output_matrix(
     measurement uncertainties far below the absolute grid step.
     """
     if shared_matrix:
-        matrix = matrix_from_model(model, grid, K)
-        P = scenario_matrix(grid, scenario, convention="absolute")
-        return propagate_many(matrix, P)
+        return propagate_scenario(matrix_from_model(model, grid, K), scenario)
 
     xd = _single_x_dim(grid)
     x_dim = grid.spec.dims[xd]
@@ -112,11 +106,7 @@ def output_matrix(
         y_max = max(y_max, float(y.max()))
     binning = OutputBinning(K if y_max > y_min else 1, y_min, y_max)
 
-    sigma = np.empty(grid.ndim)
-    sigma[xd] = scenario.sigma_ell
-    for d, dim in enumerate(grid.spec.dims):
-        if dim.role == "alpha":
-            sigma[d] = scenario.sigma_alpha
+    sigma = scenario_sigma(grid, scenario)
     out = np.empty((binning.K, scenario.n_locations))
     for i, ell in enumerate(scenario.locations):
         g = grids[i]
@@ -235,12 +225,7 @@ def deviation_statistic_matrix(
     per location; columns share one binning spanning the global range.
     """
     xd = _single_x_dim(grid)
-    sigma = np.empty(grid.ndim)
-    sigma[xd] = scenario.sigma_ell
-    for d, dim in enumerate(grid.spec.dims):
-        if dim.role == "alpha":
-            sigma[d] = scenario.sigma_alpha
-    base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), sigma)
+    base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
 
     stats = []
     s_min = math.inf

@@ -1,7 +1,8 @@
 """Simple Monte Carlo propagation: correctness oracle and timing baseline.
 
 Sampling uses a counter-based generator (Philox) so per-location streams are
-independent and reproducible regardless of draw order or parallel split.
+independent and reproducible regardless of draw order or parallel split:
+location i of a run with seed s draws from the stream keyed (s, i).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from .engine import OutputBinning, OutputProbabilityMatrix
 from .errors import DegenerateDistributionError, GridError
 from .grid import Grid
 from .models import ModelFunction
-from .distributions import MeasurementScenario
+from .distributions import MeasurementScenario, scenario_sigma
 
 _RETRY_FACTOR = 1000  # total proposal budget = _RETRY_FACTOR * n_samples
+_KEY_MASK = 2 ** 64 - 1
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ def delta_sampler(grid: Grid, point) -> SamplerSpec:
 class McConfig:
     n_samples: int
     K: int
-    seed: int = 0
+    seed: int | tuple = 0  # run seed, or a location_seed pair
     binning: OutputBinning | None = None  # fixed binning; None = own range
     sort: bool = False  # sort-then-bin instead of direct binning
 
@@ -69,11 +71,21 @@ class McConfig:
             raise GridError(f"K must be >= 1, got {self.K}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
+def location_seed(seed: int, i: int) -> tuple[int, int]:
+    """Philox key of location i's stream in a run with the given seed.
+
+    Distinct (seed, i) pairs never share a stream. Philox pads an integer key
+    with a zero word, so location 0 reproduces a standalone run at `seed`.
+    """
+    return (seed & _KEY_MASK, i)
 
 
-def draw_samples(sampler: SamplerSpec, n: int, seed: int) -> np.ndarray:
+def _rng(seed) -> np.random.Generator:
+    key = seed if isinstance(seed, tuple) else seed & _KEY_MASK
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def draw_samples(sampler: SamplerSpec, n: int, seed) -> np.ndarray:
     """(n, ndim) i.i.d. samples; deterministic given the seed."""
     rng = _rng(seed)
     nd = sampler.ndim
@@ -145,7 +157,7 @@ def mc_propagate_many(
     cfg: McConfig,
     grid: Grid,
 ) -> OutputProbabilityMatrix:
-    """One independent MC run per location; per-column seed = seed ^ index.
+    """One independent MC run per location, column i keyed location_seed(seed, i).
 
     Deliberately reuses nothing across columns: this is the L * C_MC baseline.
     A fixed binning is required so the columns share one output axis.
@@ -155,18 +167,15 @@ def mc_propagate_many(
             "mc_propagate_many needs a fixed OutputBinning so columns share one axis"
         )
     x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    a_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "alpha"]
     if len(x_dims) != 1:
         raise GridError("scenario MC needs exactly one x dimension")
+    sigma = scenario_sigma(grid, scenario)
     out = np.empty((cfg.binning.K, scenario.n_locations))
     for i, ell in enumerate(scenario.locations):
         mean = np.zeros(grid.ndim)
-        sigma = np.empty(grid.ndim)
         mean[x_dims[0]] = ell
-        sigma[x_dims[0]] = scenario.sigma_ell
-        for d in a_dims:
-            sigma[d] = scenario.sigma_alpha
         sampler = gaussian_sampler(grid, mean, sigma)
-        col_cfg = McConfig(cfg.n_samples, cfg.K, cfg.seed ^ i, cfg.binning, cfg.sort)
+        col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i),
+                           cfg.binning, cfg.sort)
         out[:, i], _ = mc_propagate(model, sampler, col_cfg)
     return OutputProbabilityMatrix(out, cfg.binning, scenario.locations.copy())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MeasurementScenario, gaussian_on_grid
+from .distributions import MeasurementScenario, gaussian_on_grid, scenario_sigma
 from .errors import GridError
 from .grid import Grid
 from .models import ModelFunction
@@ -158,12 +158,7 @@ def local_square_deviation(
     if len(x_dims) != 1:
         raise GridError("local_square_deviation needs exactly one x dimension")
     xd = x_dims[0]
-    sigma = np.empty(grid.ndim)
-    sigma[xd] = scenario.sigma_ell
-    for d, dim in enumerate(grid.spec.dims):
-        if dim.role == "alpha":
-            sigma[d] = scenario.sigma_alpha
-    p = gaussian_on_grid(grid, np.zeros(grid.ndim), sigma)
+    p = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
     shifted = [grid.column(d) + ell if d == xd else grid.column(d)
                for d in range(grid.ndim)]
     ref = [np.full(grid.size, ell) if d == xd else grid.column(d)

@@ -94,6 +94,58 @@ def test_propagate_rejects_mismatched_sidecar(config, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("edit", [
+    # Model and grid both differ, at the same node counts.
+    {"builtin: ipsa2d": "builtin: bench2d", "lower: -4.0, upper: 4.0": "lower: -2.0, upper: 2.0"},
+    {"builtin: ipsa2d": "builtin: bench2d"},
+    {"lower: -4.0, upper: 4.0": "lower: -2.0, upper: 2.0"},
+], ids=["model-and-grid", "model", "grid"])
+def test_propagate_rejects_sidecar_of_other_model_or_grid(config, tmp_path, capsys, edit):
+    build_dir = tmp_path / "build"
+    main(["build-matrix", "--config", str(config), "--out-dir", str(build_dir)])
+    text = CONFIG
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    other = tmp_path / "other.yaml"
+    other.write_text(text)
+    rc = main([
+        "propagate", "--config", str(other), "--out-dir", str(tmp_path / "o"),
+        "--matrix", str(build_dir / "model_matrix.vupm"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_propagate_carries_build_record_forward(config, tmp_path, capsys):
+    # propagate overwrites the build's manifest when both share a directory;
+    # the copied record keeps later runs checked.
+    work = tmp_path / "work"
+    main(["build-matrix", "--config", str(config), "--out-dir", str(work)])
+    built = json.loads((work / "manifest.json").read_text())["matrix"]
+    args = ["--out-dir", str(work), "--matrix", str(work / "model_matrix.vupm")]
+    assert main(["propagate", "--config", str(config)] + args) == 0
+    assert json.loads((work / "manifest.json").read_text())["matrix"] == built
+    assert main(["propagate", "--config", str(config)] + args) == 0
+    assert "warning" not in capsys.readouterr().err
+    other = tmp_path / "other.yaml"
+    other.write_text(CONFIG.replace("builtin: ipsa2d", "builtin: bench2d"))
+    assert main(["propagate", "--config", str(other)] + args) == 1
+
+
+def test_propagate_warns_without_build_record(config, tmp_path, capsys):
+    build_dir = tmp_path / "build"
+    main(["build-matrix", "--config", str(config), "--out-dir", str(build_dir)])
+    (build_dir / "manifest.json").unlink()
+    rc = main([
+        "propagate", "--config", str(config), "--out-dir", str(tmp_path / "o"),
+        "--matrix", str(build_dir / "model_matrix.vupm"),
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and len(err.strip().splitlines()) == 1
+    assert "matrix" not in json.loads((tmp_path / "o" / "manifest.json").read_text())
+
+
 def test_ipsa_outputs(config, tmp_path):
     out = tmp_path / "out"
     assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from vuprop import (
     posterior,
     propagate,
     propagate_many,
+    propagate_scenario,
     save_matrix,
     scenario_matrix,
     shifted_model_matrix,
 )
-from vuprop.engine import reconstruct_prior
+from vuprop.distributions import scenario_factors
+from vuprop.engine import _propagate_folded, _propagate_streamed, reconstruct_prior
 from vuprop.errors import (
+    DegenerateDistributionError,
     EvaluationError,
     GridError,
     NoSupportError,
@@ -131,6 +135,123 @@ def test_propagate_many_reuses_one_matrix_bitwise():
         assert np.array_equal(out.values[:, i], propagate(m, P.columns[:, i]))
     sums = [math.fsum(out.values[:, i]) for i in range(7)]
     assert max(abs(s - 1.0) for s in sums) <= 1e-9
+
+
+# --- separable scenario propagation -----------------------------------------
+
+_LAYOUTS = {
+    # name: (dims as (name, lower, upper, role), expression)
+    "1d": ((("x", -3.0, 3.0, "x"),), "sin(3*x) + x^2/4"),
+    "x_first": ((("x", -3.0, 3.0, "x"), ("a", -1.0, 1.0, "alpha")), "sin(3*x) + x*a"),
+    "x_last": ((("a", -1.0, 1.0, "alpha"), ("x", -3.0, 3.0, "x")), "x^2 + 2*a"),
+    "x_middle": (
+        (("a", -1.0, 1.0, "alpha"), ("x", -3.0, 3.0, "x"), ("b", -0.5, 0.5, "alpha")),
+        "sin(2*x) + a*b + x*a",
+    ),
+}
+
+
+@given(
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    counts=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+    K=st.integers(1, 40),
+    locations=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+    sigma_ell=st.floats(0.2, 2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_propagate_scenario_matches_column_path(layout, counts, K, locations, sigma_ell):
+    dims, expression = _LAYOUTS[layout]
+    g = make_grid(GridSpec(tuple(
+        Dim(name, lo, hi, count, role) for (name, lo, hi, role), count in zip(dims, counts)
+    )))
+    m = matrix_from_model(parse_expression(expression, [d[0] for d in dims]), g, K)
+    sc = MeasurementScenario(locations, sigma_ell, 0.3)
+    expected = propagate_many(m, scenario_matrix(g, sc)).values
+    factors = scenario_factors(g, sc)
+    folded = _propagate_folded(m, factors)
+    streamed = _propagate_streamed(m, factors)
+    assert np.array_equal(streamed, expected)
+    for values in (folded, propagate_scenario(m, sc).values):
+        assert values.shape == expected.shape
+        assert np.max(np.abs(values - expected)) <= 1e-12
+        assert np.max(np.abs(values.sum(axis=0) - 1.0)) <= 1e-9
+
+
+def test_propagate_scenario_stream_branch_is_bitwise_column_path():
+    # L < 3 selects the stream branch.
+    g = make_grid(GridSpec((Dim("x", -5, 5, 60), Dim("a", -1, 1, 12, "alpha"))))
+    m = matrix_from_model(builtin("ipsa2d"), g, 30)
+    for locations in ([0.7], [-2.0, 1.5]):
+        sc = MeasurementScenario(locations, 0.5, 0.25)
+        out = propagate_scenario(m, sc)
+        assert np.array_equal(out.values, propagate_many(m, scenario_matrix(g, sc)).values)
+        assert out.locations.tolist() == locations
+        assert out.binning == m.binning
+
+
+def test_propagate_scenario_matches_literal_quadrature_oracle():
+    grid = make_grid(GridSpec((
+        Dim("x", -5.0, 5.0, 100), Dim("alpha", -1.0, 1.0, 100, "alpha"),
+    )))
+    K = 200
+    locations = [1.0, -2.5, 0.25, 3.0]
+    matrix = matrix_from_model(builtin("ipsa2d"), grid, K)
+    sc = MeasurementScenario(locations, 0.5, 0.25)
+    factors = scenario_factors(grid, sc)
+    results = [propagate_scenario(matrix, sc).values,
+               _propagate_folded(matrix, factors), _propagate_streamed(matrix, factors)]
+    y_min = y_max = None
+    for i, ell in enumerate(locations):
+        # Literal loops, scalar math only, own weights and own binning.
+        ys, ws = [], []
+        for x in grid.axes[0]:
+            for a in grid.axes[1]:
+                ys.append(x * x + 5 * math.sin(3 * x) + a)
+                ws.append(math.exp(-0.5 * ((x - ell) / 0.5) ** 2)
+                          * math.exp(-0.5 * (a / 0.25) ** 2))
+        y_min, y_max = min(ys), max(ys)
+        b = (y_max - y_min) / K
+        total = math.fsum(ws)
+        oracle = [0.0] * K
+        for y, w in zip(ys, ws):
+            oracle[min(int((y - y_min) // b), K - 1)] += w / total
+        for values in results:
+            assert float(np.abs(values[:, i] - np.array(oracle)).max()) < 1e-12
+
+
+def test_propagate_scenario_far_location_raises_like_scenario_matrix():
+    g = make_grid(GridSpec((Dim("x", -2, 2, 40), Dim("a", -1, 1, 8, "alpha"))))
+    m = matrix_from_model(builtin("bench2d"), g, 10)
+    sc = MeasurementScenario([0.0, 1e3, 1.0], 0.1, 0.25)
+    with pytest.raises(DegenerateDistributionError) as expected:
+        scenario_matrix(g, sc)
+    with pytest.raises(DegenerateDistributionError) as found:
+        propagate_scenario(m, sc)
+    assert str(found.value) == str(expected.value)
+
+
+def test_propagate_scenario_needs_grid_matrix():
+    g = _grid(count=8)
+    m = build_model_matrix(np.arange(8.0), 4)  # no grid attached
+    with pytest.raises(GridError):
+        propagate_scenario(m, MeasurementScenario([0.0], 0.5, 0.5))
+
+
+def test_propagate_scenario_memory_independent_of_locations():
+    # N = 2e5, L = 200: the dense (N, L) input matrix would take 320 MB.
+    g = make_grid(GridSpec((Dim("x", -4, 4, 1000), Dim("a", -1, 1, 200, "alpha"))))
+    m = matrix_from_model(builtin("ipsa2d"), g, 500)
+    sc = MeasurementScenario(np.linspace(-3.5, 3.5, 200), 0.4, 0.25)
+    dense_bytes = 8 * g.size * sc.n_locations
+    factors = scenario_factors(g, sc)
+    for run in (lambda: propagate_scenario(m, sc), lambda: _propagate_streamed(m, factors)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 10
 
 
 def test_shifted_matrix_matches_absolute_convention():

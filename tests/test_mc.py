@@ -21,7 +21,7 @@ from vuprop import (
     scenario_matrix,
     uniform_sampler,
 )
-from vuprop.mc import draw_samples
+from vuprop.mc import draw_samples, location_seed
 from vuprop.errors import DegenerateDistributionError, GridError
 
 
@@ -128,7 +128,7 @@ def test_mc_many_columns_independent_seeds():
         builtin("bench2d"), sc, McConfig(5000, 15, seed=9, binning=binning), g
     )
     assert out.values.shape == (15, 2)
-    # Same location but different per-column streams (seed ^ index).
+    # Same location but different per-column streams, keyed (seed, index).
     assert not np.array_equal(out.values[:, 0], out.values[:, 1])
     # Column 0 reproduces a standalone run with the same seed.
     solo, _ = mc_propagate(
@@ -137,6 +137,26 @@ def test_mc_many_columns_independent_seeds():
         McConfig(5000, 15, seed=9, binning=binning),
     )
     assert np.array_equal(out.values[:, 0], solo)
+
+
+def test_mc_many_streams_distinct_across_seeds():
+    # Under the old seed ^ index keys, column 1 at seed 0 and column 0 at
+    # seed 1 drew the same stream.
+    g = _grid2d()
+    binning = OutputBinning(15, -2.0, 9.0)
+    model = builtin("bench2d")
+
+    def run(seed, locations):
+        sc = MeasurementScenario(locations, 0.5, 0.25)
+        return mc_propagate_many(model, sc, McConfig(5000, 15, seed=seed, binning=binning), g)
+
+    seed0 = run(0, [0.0, 0.0]).values
+    seed1 = run(1, [0.0]).values
+    assert not np.array_equal(seed0[:, 1], seed1[:, 0])
+    assert location_seed(0, 1) != location_seed(1, 0)
+    sampler = gaussian_sampler(g, (0.0, 0.0), (0.5, 0.25))
+    assert not np.array_equal(draw_samples(sampler, 100, location_seed(0, 1)),
+                              draw_samples(sampler, 100, location_seed(1, 0)))
 
 
 def test_mc_config_validation():
