@@ -119,13 +119,13 @@ def _vup_row(model, grid: Grid, scenario, K, repetitions) -> BenchRow:
 
 
 def _mc_row(model, grid: Grid, scenario, K, repetitions, seed) -> BenchRow:
-    x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
+    xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
     n_samples = grid.size
 
     def sampler_at(ell):
         mean = np.zeros(grid.ndim)
-        mean[x_dims[0]] = ell
+        mean[xd] = ell
         return gaussian_sampler(grid, mean, sigma)
 
     def full():

@@ -29,7 +29,7 @@ from .engine import (
     save_matrix,
 )
 from .errors import ConfigError, VupropError
-from .grid import make_grid
+from .grid import GridSpec, make_grid
 from .ipsa import (
     deviation_statistic_matrix,
     output_matrix,
@@ -43,12 +43,12 @@ from .variogram import integrated_variogram, local_square_deviation
 
 def _write_heatmap(path, col_labels, row_labels, values):
     """First row: column labels (locations); first column: row labels (bin
-    centers); body: probabilities."""
+    centers); body: probabilities. Fields are the repr of each float, lines
+    end in CRLF: the bytes of csv.writer, as no such field needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + [repr(float(v)) for v in col_labels])
-        for label, row in zip(row_labels, values):
-            writer.writerow([repr(float(label))] + [repr(float(v)) for v in row])
+        fh.write("," + ",".join(map(repr, np.asarray(col_labels, float).tolist())) + "\r\n")
+        for label, row in zip(np.asarray(row_labels, float).tolist(), values):
+            fh.write(f"{label!r},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def _write_rows(path, header, rows):
@@ -147,7 +147,7 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
     grid = make_grid(cfg.grid_spec())
     scenario = cfg.scenario()
     opts = cfg.output()
-    x_dim = next(d for d in grid.spec.dims if d.role == "x")
+    x_dim = grid.spec.dims[grid.spec.x_index()]
     if scenario.sigma_ell < x_dim.step / 10:
         print(
             f"warning: sigma_ell = {scenario.sigma_ell} is below a tenth of the "
@@ -190,8 +190,8 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
             raise ConfigError(f"--scales: not a comma-separated float list: {args.scales!r}")
     else:
         scales = opts["scales"]
-    x_dim = next(d for d in grid.spec.dims if d.role == "x")
-    ell_grid = make_grid(cfg.grid_spec().__class__((x_dim,)))
+    x_dim = grid.spec.dims[grid.spec.x_index()]
+    ell_grid = make_grid(GridSpec((x_dim,)))
     extent = x_dim.upper - x_dim.lower
     alpha_ref = [0.0] * (model.arity - 1)
     results = {}
@@ -214,15 +214,10 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
 
 def _deviation_grid(grid, scenario):
     """(x, alpha) grid in deviation coordinates, +-4 sigma_ell in x."""
-    from .grid import Dim, GridSpec
-
-    dims = []
-    for d in grid.spec.dims:
-        if d.role == "x":
-            half = 4 * scenario.sigma_ell
-            dims.append(Dim(d.name, -half, half, d.count, "x"))
-        else:
-            dims.append(d)
+    dims = list(grid.spec.dims)
+    xd = grid.spec.x_index()
+    half = 4 * scenario.sigma_ell
+    dims[xd] = replace(dims[xd], lower=-half, upper=half)
     return make_grid(GridSpec(tuple(dims)))
 
 

@@ -152,17 +152,11 @@ def delta_on_grid(grid: Grid, point) -> ProbabilityVector:
     return ProbabilityVector(values, grid)
 
 
-def _x_dim(grid: Grid) -> int:
-    x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    if len(x_dims) != 1:
-        raise GridError(f"scenario needs exactly one x dimension, got {len(x_dims)}")
-    return x_dims[0]
-
-
 def scenario_sigma(grid: Grid, scenario: MeasurementScenario) -> np.ndarray:
     """Per-dimension Gaussian widths: sigma_ell on x, sigma_alpha on alpha."""
-    return np.array([scenario.sigma_ell if dim.role == "x" else scenario.sigma_alpha
-                     for dim in grid.spec.dims])
+    sigma = np.full(grid.ndim, scenario.sigma_alpha)
+    sigma[grid.spec.x_index()] = scenario.sigma_ell
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ def scenario_factors(grid: Grid, scenario: MeasurementScenario) -> ScenarioFacto
 
     Costs O(N / nx + L * nx): only the x factor depends on the location.
     """
-    xd = _x_dim(grid)
+    xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
 
     def axis_factor(d):
@@ -237,7 +231,6 @@ def scenario_matrix(
     L = scenario.n_locations
 
     if convention == "deviation":
-        _x_dim(grid)
         # Every column is the same zero-centered Gaussian.
         base = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario)).values
         cols = np.repeat(base[:, None], L, axis=1)

@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .errors import EvaluationError, GridError, NoSupportError, SidecarFormatError
 from .grid import Grid
-from .models import ModelFunction, eval_on_grid
+from .models import ModelFunction, eval_on_grid, eval_shifted
 
 _MAGIC = b"VUPM"
 _VERSION = 1
@@ -147,17 +147,9 @@ def shifted_model_matrix(
     binning: OutputBinning | None = None,
 ) -> SparseModelMatrix:
     """Matrix of x -> M(ell + x, alpha) on a deviation-coordinate grid."""
-    x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    if len(x_dims) != 1:
-        raise GridError("shifted matrix needs exactly one x dimension")
-    xd = x_dims[0]
-    args = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
-    outputs = model.raw(*args)
-    outputs = np.broadcast_to(outputs, (grid.size,))
-    if not np.all(np.isfinite(outputs)):
-        raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
+    shifted, _ = eval_shifted(model, grid, ell)
     return build_model_matrix(
-        outputs, K, grid=grid, model_name=f"{model.name}@ell={ell!r}", binning=binning
+        shifted.ravel(), K, grid=grid, model_name=f"{model.name}@ell={ell!r}", binning=binning
     )
 
 

@@ -73,11 +73,12 @@ class GridSpec:
     def ndim(self) -> int:
         return len(self.dims)
 
-    def x_dims(self) -> tuple[Dim, ...]:
-        return tuple(d for d in self.dims if d.role == "x")
-
-    def alpha_dims(self) -> tuple[Dim, ...]:
-        return tuple(d for d in self.dims if d.role == "alpha")
+    def x_index(self) -> int:
+        """Position of the single x dimension; GridError unless there is exactly one."""
+        found = [d for d, dim in enumerate(self.dims) if dim.role == "x"]
+        if len(found) != 1:
+            raise GridError(f"needs exactly one x dimension, got {len(found)}")
+        return found[0]
 
 
 class Grid:

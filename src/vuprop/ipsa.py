@@ -23,7 +23,7 @@ from .engine import (
 )
 from .errors import GridError
 from .grid import Dim, Grid, GridSpec, make_grid
-from .models import ModelFunction
+from .models import ModelFunction, eval_shifted
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class SummaryFields:
     global_marginal: np.ndarray
 
 
-def _single_x_dim(grid: Grid) -> int:
-    x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    if len(x_dims) != 1:
-        raise GridError(f"IPSA needs exactly one x dimension, got {len(x_dims)}")
-    return x_dims[0]
-
-
 def output_matrix(
     model: ModelFunction,
     grid: Grid,
@@ -82,7 +75,7 @@ def output_matrix(
     if shared_matrix:
         return propagate_scenario(matrix_from_model(model, grid, K), scenario)
 
-    xd = _single_x_dim(grid)
+    xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     half = 4.0 * scenario.sigma_ell
 
@@ -162,21 +155,27 @@ def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
 
 
 def _shortest_interval(masses: np.ndarray, level: float) -> tuple[int, int]:
-    """Shortest contiguous bin run with mass >= level; ties -> lower start."""
+    """Shortest contiguous bin run with mass >= level; ties -> lower start.
+
+    Bins [lo, hi) qualify when prefix[hi] - prefix[lo] >= level in floating
+    point. That difference is monotone in prefix[hi], so for every start the
+    threshold prefix[lo] + level is moved by single ulps to the least value
+    that passes, and one searchsorted gives the least qualifying end.
+    """
     K = masses.size
     prefix = np.concatenate([[0.0], np.cumsum(masses)])
-    best = (K, 0)  # (length, start)
-    lo = 0
-    for hi in range(1, K + 1):
-        while prefix[hi] - prefix[lo + 1] >= level:
-            lo += 1
-        if prefix[hi] - prefix[lo] >= level:
-            length = hi - lo
-            if length < best[0]:
-                best = (length, lo)
-    if best[0] > K:  # level unreachable (won't happen for normalized columns)
+    start = prefix[:K]
+    v = start + level
+    while (down := np.nextafter(v, -np.inf) - start >= level).any():
+        v = np.where(down, np.nextafter(v, -np.inf), v)
+    while (up := v - start < level).any():
+        v = np.where(up, np.nextafter(v, np.inf), v)
+    hi = np.searchsorted(prefix, v)  # K + 1 where no end qualifies
+    lengths = np.where(hi <= K, hi - np.arange(K), K + 1)
+    lo = int(np.argmin(lengths))  # first minimum: the lower start wins ties
+    if lengths[lo] >= K:  # no run shorter than the whole axis
         return 0, K - 1
-    return best[1], best[1] + best[0] - 1
+    return lo, lo + int(lengths[lo]) - 1
 
 
 def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
@@ -224,25 +223,24 @@ def deviation_statistic_matrix(
     The grid's x-coordinate is the deviation from the location. One column
     per location; columns share one binning spanning the global range.
     """
-    xd = _single_x_dim(grid)
     base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
 
-    stats = []
+    def statistic(ell):
+        shifted, ref = eval_shifted(model, grid, ell)
+        return (shifted - ref).ravel()
+
+    # Two sweeps keep memory at O(N) whatever L is: the first finds the global
+    # range that every column's binning shares, the second bins and propagates.
     s_min = math.inf
     s_max = -math.inf
     for ell in scenario.locations:
-        shifted = [grid.column(d) + ell if d == xd else grid.column(d)
-                   for d in range(grid.ndim)]
-        ref = [np.full(grid.size, ell) if d == xd else grid.column(d)
-               for d in range(grid.ndim)]
-        s = np.broadcast_to(model.raw(*shifted) - model.raw(*ref), (grid.size,))
-        stats.append(s)
+        s = statistic(ell)
         s_min = min(s_min, float(s.min()))
         s_max = max(s_max, float(s.max()))
     binning = OutputBinning(K if s_max > s_min else 1, s_min, s_max)
     values = np.empty((binning.K, scenario.n_locations))
-    for i, s in enumerate(stats):
-        matrix = build_model_matrix(s, K, grid=grid, binning=binning)
+    for i, ell in enumerate(scenario.locations):
+        matrix = build_model_matrix(statistic(ell), K, grid=grid, binning=binning)
         values[:, i] = propagate(matrix, base_col)
     y_ref = np.zeros(scenario.n_locations)  # statistic is already a deviation
     return IpsaMatrix(values, binning.centers, binning.width, y_ref,

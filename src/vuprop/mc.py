@@ -166,14 +166,12 @@ def mc_propagate_many(
         raise GridError(
             "mc_propagate_many needs a fixed OutputBinning so columns share one axis"
         )
-    x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    if len(x_dims) != 1:
-        raise GridError("scenario MC needs exactly one x dimension")
+    xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
     out = np.empty((cfg.binning.K, scenario.n_locations))
     for i, ell in enumerate(scenario.locations):
         mean = np.zeros(grid.ndim)
-        mean[x_dims[0]] = ell
+        mean[xd] = ell
         sampler = gaussian_sampler(grid, mean, sigma)
         col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i),
                            cfg.binning, cfg.sort)

@@ -8,6 +8,7 @@ hard errors, never silently binned.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -301,12 +302,16 @@ def parse_expression(text: str, variables: Sequence[str]) -> ModelFunction:
 
 # --- grid evaluation ---------------------------------------------------------
 
-def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
-    """Evaluate the model at every grid node, in flat order."""
+def _check_arity(model: ModelFunction, grid: Grid) -> None:
     if model.arity != grid.ndim:
         raise EvaluationError(
             f"model {model.name!r} has arity {model.arity}, grid has {grid.ndim} dimensions"
         )
+
+
+def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
+    """Evaluate the model at every grid node, in flat order."""
+    _check_arity(model, grid)
     out = model.raw(*(grid.column(d) for d in range(grid.ndim)))
     out = np.broadcast_to(out, (grid.size,)).astype(float, copy=False)
     bad = np.flatnonzero(~np.isfinite(out))
@@ -317,3 +322,27 @@ def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
             f"node {tuple(grid.nodes[j])}"
         )
     return out
+
+
+def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarray, np.ndarray]:
+    """M(ell + x, alpha) and M(ell, alpha) on a grid whose x is the deviation from ell.
+
+    The first has the grid's (n_pre, nx, n_post) view: dims before x, x, dims
+    after x. The second is evaluated on the N / nx alpha nodes only, shaped
+    (n_pre, 1, n_post). Inputs are per-axis node vectors broadcasting to the
+    grid, so a subexpression of one input costs that axis's node count.
+    """
+    _check_arity(model, grid)
+    xd = grid.spec.x_index()
+    counts = grid.spec.counts
+    view = (math.prod(counts[:xd]), counts[xd], math.prod(counts[xd + 1:]))
+    args = [grid.axes[d].reshape([-1 if e == d else 1 for e in range(grid.ndim)])
+            for d in range(grid.ndim)]
+    args[xd] = args[xd] + ell
+    shifted = np.broadcast_to(model.raw(*args), counts).reshape(view)
+    args[xd] = np.full((1,) * grid.ndim, float(ell))
+    ref = np.broadcast_to(model.raw(*args), counts[:xd] + (1,) + counts[xd + 1:])
+    ref = ref.reshape(view[0], 1, view[2])
+    if not (np.isfinite(shifted).all() and np.isfinite(ref).all()):
+        raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
+    return shifted, ref

@@ -12,14 +12,14 @@ When ell + v would leave the grid, the ell-integration range shrinks to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import MeasurementScenario, gaussian_on_grid, scenario_sigma
+from .distributions import MeasurementScenario, scenario_factors
 from .errors import GridError
 from .grid import Grid
-from .models import ModelFunction
+from .models import ModelFunction, eval_shifted
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,36 @@ def _eval_1d(model: ModelFunction, ell: np.ndarray, alpha_ref) -> np.ndarray:
     return np.broadcast_to(model.raw(*args), ell.shape)
 
 
-def _squared_diffs(model, ell_grid: Grid, v: float, alpha_ref) -> np.ndarray:
-    """(M(ell+v) - M(ell))^2 over the (possibly shrunk) set of valid nodes."""
-    ell = _ell_axis(ell_grid)
-    upper = ell_grid.spec.dims[0].upper
-    if v < 0:
-        raise GridError(f"scale v must be >= 0, got {v}")
-    valid = ell + v <= upper
-    ell = ell[valid]
-    if ell.size == 0:
+def _square_diffs(model, ell: np.ndarray, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
+    """(M(ell + v) - M(ell))^2 for every (v, ell) pair, shape (n_v, n_ell):
+    one model call for M(ell) and one for all the shifted rows."""
+    m_ell = _eval_1d(model, ell, alpha_ref)
+    return (_eval_1d(model, ell[None, :] + v_nodes[:, None], alpha_ref) - m_ell) ** 2
+
+
+def _valid_pairs(ell_grid: Grid, v_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n_v, n_ell) mask of the pairs with ell + v inside the grid, and its row counts."""
+    valid = _ell_axis(ell_grid)[None, :] + v_nodes[:, None] <= ell_grid.spec.dims[0].upper
+    counts = valid.sum(axis=1)
+    if not counts.all():
+        v = v_nodes[np.argmin(counts)]
         raise GridError(f"scale v = {v} leaves no locations inside the grid")
-    return (_eval_1d(model, ell + v, alpha_ref) - _eval_1d(model, ell, alpha_ref)) ** 2
+    return valid, counts
+
+
+def _gammas(model, ell_grid: Grid, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
+    """gamma at every scale: half the fsum-exact mean of each row of squared
+    differences over its valid locations."""
+    if np.any(v_nodes < 0):
+        raise GridError(f"scale v must be >= 0, got {v_nodes.min()}")
+    valid, counts = _valid_pairs(ell_grid, v_nodes)
+    sq = _square_diffs(model, _ell_axis(ell_grid), v_nodes, alpha_ref)
+    return np.array([math.fsum(row[ok]) / (2.0 * n) for row, ok, n in zip(sq, valid, counts)])
 
 
 def variogram(model: ModelFunction, ell_grid: Grid, v: float, alpha_ref=None) -> float:
     """Half the midpoint-rule average of (M(ell+v) - M(ell))^2 over locations."""
-    sq = _squared_diffs(model, ell_grid, v, alpha_ref)
-    return math.fsum(sq) / (2.0 * sq.size)
+    return float(_gammas(model, ell_grid, np.array([float(v)]), alpha_ref)[0])
 
 
 def integrated_variogram(
@@ -77,7 +90,7 @@ def integrated_variogram(
         raise GridError(f"v_count must be >= 1, got {v_count}")
     dv = V / v_count
     v_nodes = (np.arange(v_count) + 0.5) * dv
-    gamma = np.array([variogram(model, ell_grid, v, alpha_ref) for v in v_nodes])
+    gamma = _gammas(model, ell_grid, v_nodes, alpha_ref)
     Gamma = math.fsum(gamma) * dv
     return VariogramResult(v_nodes, gamma, V, Gamma, Gamma / V)
 
@@ -87,18 +100,9 @@ def ivars_weights(ell_grid: Grid, V: float, v_count: int) -> tuple[np.ndarray, n
     uniform over scales, conditionally uniform over the valid locations of
     each scale. weights[i, j] is the mass at (v_i, ell_j); rows of invalid
     pairs are zero; the whole matrix sums to 1."""
-    dv = V / v_count
-    v_nodes = (np.arange(v_count) + 0.5) * dv
-    ell = _ell_axis(ell_grid)
-    upper = ell_grid.spec.dims[0].upper
-    w = np.zeros((v_count, ell.size))
-    for i, v in enumerate(v_nodes):
-        valid = ell + v <= upper
-        n = int(valid.sum())
-        if n == 0:
-            raise GridError(f"scale v = {v} leaves no locations inside the grid")
-        w[i, valid] = 1.0 / (v_count * n)
-    return v_nodes, w
+    v_nodes = (np.arange(v_count) + 0.5) * (V / v_count)
+    valid, counts = _valid_pairs(ell_grid, v_nodes)
+    return v_nodes, valid / (v_count * counts[:, None])
 
 
 def vars_weights(
@@ -108,11 +112,9 @@ def vars_weights(
     the plain variogram at the v-node nearest to v_prime."""
     v_nodes = np.asarray(v_nodes, float)
     i = int(np.argmin(np.abs(v_nodes - v_prime)))
-    ell = _ell_axis(ell_grid)
-    upper = ell_grid.spec.dims[0].upper
-    valid = ell + v_nodes[i] <= upper
-    w = np.zeros((v_nodes.size, ell.size))
-    w[i, valid] = 1.0 / int(valid.sum())
+    valid, counts = _valid_pairs(ell_grid, v_nodes[i:i + 1])
+    w = np.zeros((v_nodes.size, valid.shape[1]))
+    w[i] = valid[0] / counts[0]
     return w
 
 
@@ -137,15 +139,9 @@ def generalized_expectation(
     total = math.fsum(weights.ravel())
     if abs(total - 1.0) > 1e-6:
         raise GridError(f"weights sum to {total}, expected 1 within 1e-6")
-    m_ell = _eval_1d(model, ell, alpha_ref)
-    terms = []
-    for i, v in enumerate(v_nodes):
-        row = weights[i]
-        if not row.any():
-            continue
-        sq = (_eval_1d(model, ell + v, alpha_ref) - m_ell) ** 2
-        terms.extend(row * sq / 2.0)
-    return math.fsum(terms)
+    rows = weights.any(axis=1)
+    sq = _square_diffs(model, ell, v_nodes[rows], alpha_ref)
+    return math.fsum((weights[rows] * sq / 2.0).ravel())
 
 
 def local_square_deviation(
@@ -153,16 +149,13 @@ def local_square_deviation(
 ) -> float:
     """Expected squared deviation of the response at one location under the
     truncated-Gaussian measurement uncertainty, by midpoint quadrature over
-    a deviation-coordinate (x, alpha) grid."""
-    x_dims = [d for d, dim in enumerate(grid.spec.dims) if dim.role == "x"]
-    if len(x_dims) != 1:
-        raise GridError("local_square_deviation needs exactly one x dimension")
-    xd = x_dims[0]
-    p = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
-    shifted = [grid.column(d) + ell if d == xd else grid.column(d)
-               for d in range(grid.ndim)]
-    ref = [np.full(grid.size, ell) if d == xd else grid.column(d)
-           for d in range(grid.ndim)]
-    sq = (np.broadcast_to(model.raw(*shifted), (grid.size,))
-          - np.broadcast_to(model.raw(*ref), (grid.size,))) ** 2
-    return math.fsum(p.values * sq / 2.0)
+    a deviation-coordinate (x, alpha) grid.
+
+    The Gaussian is separable, so half the sum of p * s^2 contracts s^2 with
+    its per-axis factors (scenario_factors at the single location 0, already
+    normalized): no N-length weight vector and no fsum over N.
+    """
+    shifted, ref = eval_shifted(model, grid, ell)
+    f = scenario_factors(grid, replace(scenario, locations=np.zeros(1), weights=None))
+    sq = (shifted - ref) ** 2
+    return 0.5 * float(f.pre @ (sq @ f.post) @ f.x_block[0])

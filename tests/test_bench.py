@@ -10,9 +10,10 @@ from vuprop import (
     Thresholds,
     assert_complexity,
     builtin,
+    make_grid,
     run_sweep,
 )
-from vuprop.bench import _scaled_spec
+from vuprop.bench import _mc_row, _scaled_spec
 from vuprop.errors import GridError
 
 
@@ -91,3 +92,9 @@ def test_assert_complexity_flags_linear_vup():
     report = assert_complexity(BenchResult(tuple(rows)))
     assert not report.passed
     assert not report.checks["vup_sublinear"][0]
+
+
+def test_mc_row_rejects_two_x_dims():
+    grid = make_grid(GridSpec((Dim("x1", 0, 1, 4), Dim("x2", 0, 1, 4))))
+    with pytest.raises(GridError, match="one x dimension"):
+        _mc_row(builtin("bench2d"), grid, MeasurementScenario([0.5], 0.1, 0.1), 10, 3, 0)

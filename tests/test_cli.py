@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vuprop.cli import main
+from vuprop.cli import _write_heatmap, main
 
 
 CONFIG = """
@@ -267,3 +267,26 @@ def test_missing_config_exit_code(tmp_path, capsys):
                "--out-dir", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _write_heatmap_csv(path, col_labels, row_labels, values):
+    """Reference writer: csv.writer over per-float repr strings."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + [repr(float(v)) for v in col_labels])
+        for label, row in zip(row_labels, values):
+            writer.writerow([repr(float(label))] + [repr(float(v)) for v in row])
+
+
+_EDGE = [-0.0, 5e-324, 1e16, 1.0, 0.1, 1 / 3, -2.5e-7, 123456789.125]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5)])
+def test_write_heatmap_bytes_match_csv_writer(tmp_path, shape):
+    n_rows, n_cols = shape
+    values = np.resize(np.array(_EDGE), shape)
+    col_labels = np.resize(np.array(_EDGE), n_cols)
+    row_labels = np.resize(np.array(_EDGE[1:] + _EDGE[:1]), n_rows)
+    _write_heatmap(tmp_path / "new.csv", col_labels, row_labels, values)
+    _write_heatmap_csv(tmp_path / "ref.csv", col_labels, row_labels, values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

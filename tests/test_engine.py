@@ -269,6 +269,28 @@ def test_shifted_matrix_matches_absolute_convention():
     assert m_abs.binning == m_dev.binning
 
 
+def _shifted_matrix_full_columns(model, grid, ell, K):
+    """Reference shifted matrix: the model on all N full-length columns."""
+    xd = grid.spec.x_index()
+    args = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
+    return build_model_matrix(np.broadcast_to(model.raw(*args), (grid.size,)), K, grid=grid)
+
+
+@pytest.mark.parametrize("dims", [
+    (Dim("x", -3, 3, 50), Dim("a", -1, 1, 9, "alpha"), Dim("b", 0, 1, 4, "alpha")),
+    (Dim("a", -1, 1, 9, "alpha"), Dim("x", -3, 3, 50), Dim("b", 0, 1, 4, "alpha")),
+    (Dim("a", -1, 1, 9, "alpha"), Dim("b", 0, 1, 4, "alpha"), Dim("x", -3, 3, 50)),
+])
+def test_shifted_matrix_bins_unchanged(dims):
+    grid = make_grid(GridSpec(dims))
+    model = parse_expression("x^2 + 5*sin(3*x)*b + a", [d.name for d in dims])
+    for ell in (-1.37, 0.0, 2.9):
+        got = shifted_model_matrix(model, grid, ell, 40)
+        want = _shifted_matrix_full_columns(model, grid, ell, 40)
+        assert np.array_equal(got.bin_of, want.bin_of)
+        assert got.binning == want.binning
+
+
 # --- Bayes inversion ---------------------------------------------------------
 
 def test_invert_round_trip_reconstructs_prior():

@@ -87,3 +87,11 @@ def test_symmetric_axis_exactly_antisymmetric():
     g = make_grid(GridSpec((Dim("x", -5, 5, 101),)))
     axis = g.axes[0]
     assert np.all(axis == -axis[::-1])
+
+
+def test_x_index_finds_the_single_x_dimension():
+    spec = GridSpec((Dim("a", 0, 1, 2, "alpha"), Dim("x", 0, 1, 2), Dim("b", 0, 1, 2, "alpha")))
+    assert spec.x_index() == 1
+    for dims in ((Dim("a", 0, 1, 2, "alpha"),), (Dim("x", 0, 1, 2), Dim("y", 0, 1, 2))):
+        with pytest.raises(GridError, match="one x dimension"):
+            GridSpec(dims).x_index()

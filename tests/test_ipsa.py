@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vuprop import (
     Dim,
@@ -9,15 +11,19 @@ from vuprop import (
     MeasurementScenario,
     OutputBinning,
     OutputProbabilityMatrix,
+    build_model_matrix,
     builtin,
     deviation_statistic_matrix,
+    gaussian_on_grid,
     make_grid,
     output_matrix,
     parse_expression,
+    propagate,
     reference_curve,
     summarize,
     to_deviations,
 )
+from vuprop.distributions import scenario_sigma
 from vuprop.ipsa import _shortest_interval
 from vuprop.errors import GridError
 
@@ -160,3 +166,101 @@ def test_output_matrix_rejects_two_x_dims():
     g = make_grid(GridSpec((Dim("x1", 0, 1, 4), Dim("x2", 0, 1, 4))))
     with pytest.raises(GridError):
         output_matrix(builtin("bench2d"), g, _scenario(), 10)
+
+
+# --- vectorised shortest interval against the two-pointer loop ---------------
+
+def _shortest_interval_loop(masses, level):
+    """Reference two-pointer scan over start and end bins."""
+    K = masses.size
+    prefix = np.concatenate([[0.0], np.cumsum(masses)])
+    best = (K, 0)  # (length, start)
+    lo = 0
+    for hi in range(1, K + 1):
+        while prefix[hi] - prefix[lo + 1] >= level:
+            lo += 1
+        if prefix[hi] - prefix[lo] >= level:
+            length = hi - lo
+            if length < best[0]:
+                best = (length, lo)
+    if best[0] > K:
+        return 0, K - 1
+    return best[1], best[1] + best[0] - 1
+
+
+_mass = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([1e-300, 1e-17, 0.5]))
+_level = st.one_of(st.floats(1e-9, 1.0), st.floats(1.0 - 1e-9, 1.0), st.just(1.0),
+                   st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_mass, min_size=1, max_size=40), _level, st.booleans())
+def test_shortest_interval_matches_loop(raw, level, normalize):
+    masses = np.array(raw)
+    if normalize:
+        assume(masses.sum() > 0)
+        masses = masses / masses.sum()
+    assert _shortest_interval(masses, level) == _shortest_interval_loop(masses, level)
+
+
+def test_shortest_interval_matches_loop_on_binned_columns():
+    # Gaussian-like columns with zero-mass tails and gaps, as binning leaves them.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        K = int(rng.integers(1, 300))
+        c = np.arange(K)
+        col = np.exp(-0.5 * ((c - rng.uniform(0, K)) / rng.uniform(0.3, K)) ** 2)
+        col[rng.random(K) < 0.3] = 0.0
+        if col.sum() == 0:
+            continue
+        col /= col.sum()
+        for level in (0.5, 0.9, 0.95, 1.0 - 1e-12):
+            assert _shortest_interval(col, level) == _shortest_interval_loop(col, level)
+
+
+# --- deviation statistic matrix: two sweeps, same columns --------------------
+
+def _deviation_statistic_all_stats(model, grid, scenario, K):
+    """Reference version: every location's N-float statistic held at once."""
+    xd = grid.spec.x_index()
+    base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
+    stats = []
+    for ell in scenario.locations:
+        shifted = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
+        ref = [np.full(grid.size, ell) if d == xd else grid.column(d) for d in range(grid.ndim)]
+        stats.append(np.broadcast_to(model.raw(*shifted) - model.raw(*ref), (grid.size,)))
+    s_min = min(float(s.min()) for s in stats)
+    s_max = max(float(s.max()) for s in stats)
+    binning = OutputBinning(K if s_max > s_min else 1, s_min, s_max)
+    values = np.empty((binning.K, scenario.n_locations))
+    for i, s in enumerate(stats):
+        values[:, i] = propagate(build_model_matrix(s, K, grid=grid, binning=binning), base_col)
+    return values, binning
+
+
+@pytest.mark.parametrize("dims", [
+    (Dim("x", -1.6, 1.6, 90), Dim("a", -1, 1, 30, "alpha")),
+    (Dim("a", -1, 1, 30, "alpha"), Dim("x", -1.6, 1.6, 90)),
+])
+def test_deviation_statistic_matrix_equals_all_stats_version(dims):
+    grid = make_grid(GridSpec(dims))
+    model = parse_expression("x^2 + 5*sin(3*x) + a*x", [d.name for d in dims])
+    sc = _scenario(locations=(-2.7, -0.4, 0.0, 1.3, 3.1))
+    dev = deviation_statistic_matrix(model, grid, sc, 120)
+    values, binning = _deviation_statistic_all_stats(model, grid, sc, 120)
+    assert np.array_equal(dev.values, values)
+    assert np.array_equal(dev.delta_centers, binning.centers)
+    assert dev.bin_width == binning.width
+
+
+def test_deviation_statistic_matrix_memory_is_independent_of_L():
+    # N = 2e5, L = 50: holding every statistic would take 8 * N * L = 80 MB.
+    grid = make_grid(GridSpec((Dim("x", -1.6, 1.6, 1000), Dim("a", -1, 1, 200, "alpha"))))
+    sc = _scenario(locations=np.linspace(-3, 3, 50))
+    tracemalloc.start()
+    try:
+        deviation_statistic_matrix(builtin("ipsa2d"), grid, sc, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * grid.size

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vuprop import Dim, GridSpec, builtin, eval_on_grid, make_grid, parse_expression
 from vuprop.errors import EvaluationError, ExpressionError
-from vuprop.models import parse_ast, pretty, eval_ast
+from vuprop.models import eval_ast, eval_shifted, parse_ast, pretty
 
 
 def test_builtins():
@@ -137,3 +137,26 @@ def test_models_are_deterministic():
     x = np.linspace(-3, 3, 50)
     a = np.linspace(-1, 1, 50)
     assert np.array_equal(m.raw(x, a), m.raw(x, a))
+
+
+def test_eval_shifted_views_and_values():
+    # x in the middle: (n_pre, nx, n_post) = (3, 5, 4); the reference is
+    # evaluated on the alpha sub-grid only.
+    g = make_grid(GridSpec((Dim("a", -1, 1, 3, "alpha"), Dim("x", -2, 2, 5),
+                            Dim("b", 0, 1, 4, "alpha"))))
+    model = parse_expression("sin(x)*a + x^2*b", ["a", "x", "b"])
+    shifted, ref = eval_shifted(model, g, 0.3)
+    assert shifted.shape == (3, 5, 4)
+    assert ref.shape == (3, 1, 4)
+    a, x, b = (g.column(d) for d in range(3))
+    assert np.array_equal(shifted.ravel(), model.raw(a, x + 0.3, b))
+    full_ref = model.raw(a, np.full(g.size, 0.3), b)
+    assert np.array_equal(np.broadcast_to(ref, shifted.shape).ravel(), full_ref)
+
+
+def test_eval_shifted_errors():
+    g = make_grid(GridSpec((Dim("x", -1, 1, 4), Dim("a", -1, 1, 3, "alpha"))))
+    with pytest.raises(EvaluationError, match="non-finite"):
+        eval_shifted(parse_expression("1/x + a", ["x", "a"]), g, 0.0)  # 1/ell
+    with pytest.raises(EvaluationError, match="arity"):
+        eval_shifted(parse_expression("x", ["x"]), g, 0.0)

@@ -8,6 +8,7 @@ from vuprop import (
     GridSpec,
     MeasurementScenario,
     builtin,
+    gaussian_on_grid,
     generalized_expectation,
     integrated_variogram,
     ivars_weights,
@@ -17,6 +18,7 @@ from vuprop import (
     variogram,
     vars_weights,
 )
+from vuprop.distributions import scenario_sigma
 from vuprop.errors import GridError
 
 
@@ -146,3 +148,64 @@ def test_variogram_requires_1d_grid():
     g = make_grid(GridSpec((Dim("x", 0, 1, 4), Dim("a", 0, 1, 4, "alpha"))))
     with pytest.raises(GridError):
         variogram(parse_expression("x", ["x"]), g, 0.1)
+
+
+# --- one-sweep quadratures against their per-call fsum forms -----------------
+
+def _local_square_deviation_fsum(model, ell, scenario, grid):
+    """Reference quadrature: the full Gaussian vector, both model sweeps on
+    all N nodes, and an exact fsum over N."""
+    xd = grid.spec.x_index()
+    sigma = scenario_sigma(grid, scenario)
+    p = gaussian_on_grid(grid, np.zeros(grid.ndim), sigma)
+    shifted = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
+    ref = [np.full(grid.size, ell) if d == xd else grid.column(d) for d in range(grid.ndim)]
+    sq = (np.broadcast_to(model.raw(*shifted), (grid.size,))
+          - np.broadcast_to(model.raw(*ref), (grid.size,))) ** 2
+    return math.fsum(p.values * sq / 2.0)
+
+
+_LAYOUTS = {
+    "1-D": ((Dim("x", -1.6, 1.6, 301),), "x^3 - 2*x + sin(5*x)"),
+    "x-first": ((Dim("x", -1.2, 1.2, 41), Dim("a", -1, 1, 7, "alpha"),
+                 Dim("b", 0, 2, 5, "alpha")), "sin(3*x)*exp(a) + x^2*b + a*b"),
+    "x-middle": ((Dim("a", -1, 1, 7, "alpha"), Dim("x", -1.2, 1.2, 41),
+                  Dim("b", 0, 2, 5, "alpha")), "sin(3*x)*exp(a) + x^2*b + a*b"),
+    "x-last": ((Dim("a", -1, 1, 7, "alpha"), Dim("b", 0, 2, 5, "alpha"),
+                Dim("x", -1.2, 1.2, 41)), "sin(3*x)*exp(a) + x^2*b + a*b"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_local_square_deviation_matches_fsum_quadrature(layout):
+    dims, text = _LAYOUTS[layout]
+    grid = make_grid(GridSpec(dims))
+    model = parse_expression(text, [d.name for d in dims])
+    sc = MeasurementScenario([0.0], 0.3, 0.6)
+    for ell in (-2.3, 0.0, 0.7, 1.9):
+        got = local_square_deviation(model, ell, sc, grid)
+        want = _local_square_deviation_fsum(model, ell, sc, grid)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _gamma_fsum(model, ell_grid, v, alpha_ref):
+    """Reference per-scale variogram: two model calls and one fsum per v."""
+    ell = ell_grid.axes[0]
+    ell = ell[ell + v <= ell_grid.spec.dims[0].upper]
+    alpha = [np.full_like(ell, a) for a in np.atleast_1d(alpha_ref)] if alpha_ref is not None else []
+    sq = (model.raw(ell + v, *alpha) - model.raw(ell, *alpha)) ** 2
+    return math.fsum(np.broadcast_to(sq, ell.shape)) / (2.0 * ell.size)
+
+
+@pytest.mark.parametrize("model, alpha_ref", [
+    (builtin("ipsa2d"), 0.3),
+    (parse_expression("x^3 - 4*sin(x)", ["x"]), None),
+    (parse_expression("7", ["x"]), None),
+])
+def test_integrated_variogram_gamma_is_bitwise_per_scale(model, alpha_ref):
+    g = _ell_grid(0, 10, 333)
+    res = integrated_variogram(model, g, V=9.9, v_count=97, alpha_ref=alpha_ref)
+    per_scale = [variogram(model, g, v, alpha_ref) for v in res.v_grid]
+    oracle = [_gamma_fsum(model, g, v, alpha_ref) for v in res.v_grid]
+    assert np.array_equal(res.gamma, per_scale)
+    assert np.array_equal(res.gamma, oracle)
