@@ -45,10 +45,53 @@ def _write_heatmap(path, col_labels, row_labels, values):
     """First row: column labels (locations); first column: row labels (bin
     centers); body: probabilities. Fields are the repr of each float, lines
     end in CRLF: the bytes of csv.writer, as no such field needs quoting."""
+    _write_heatmap_rows(path, col_labels, row_labels,
+                        (",".join(map(repr, row.tolist())) for row in values))
+
+
+def _write_heatmap_rows(path, col_labels, row_labels, bodies):
+    """_write_heatmap with each row's body (its joined fields) given."""
     with open(path, "w", newline="") as fh:
         fh.write("," + ",".join(map(repr, np.asarray(col_labels, float).tolist())) + "\r\n")
-        for label, row in zip(np.asarray(row_labels, float).tolist(), values):
-            fh.write(f"{label!r},{','.join(map(repr, row.tolist()))}\r\n")
+        for label, body in zip(np.asarray(row_labels, float).tolist(), bodies):
+            fh.write(f"{label!r},{body}\r\n")
+
+
+def _repr_table(values):
+    """The repr of every float as ASCII bytes; 24 characters hold the longest
+    float64 repr. Rows are converted one at a time, so no list of the whole
+    table's strings is ever alive."""
+    table = np.empty(values.shape, "S24")
+    for r, row in enumerate(values):
+        table[r] = list(map(repr, row.tolist()))
+    return table
+
+
+def _write_output_and_ipsa(out_dir, out, ipsa):
+    """output_matrix.csv and ipsa_matrix.csv, the bytes _write_heatmap writes.
+    Every nonzero cell of a pure-shift ipsa column is a cell of the output
+    matrix, so each probability is formatted once for both files."""
+    table = _repr_table(out.values)
+    _write_heatmap_rows(out_dir / "output_matrix.csv", out.locations, out.binning.centers,
+                        (b",".join(row.tolist()).decode() for row in table))
+    _write_heatmap_rows(out_dir / "ipsa_matrix.csv", ipsa.locations, ipsa.delta_centers,
+                        _ipsa_bodies(table, ipsa))
+
+
+def _ipsa_bodies(table, ipsa):
+    """Rows of ipsa_matrix.csv gathered from the output matrix's repr table.
+
+    A pure-shift column i holds output bin k on row row_offset[i] + k and 0.0
+    elsewhere (`ipsa.to_deviations` decides which columns are). The others
+    are formatted from ipsa.values."""
+    K, L = table.shape
+    cols = np.arange(L)
+    own = np.flatnonzero(ipsa.row_offset < 0)
+    for j, values in enumerate(ipsa.values):
+        src = j - ipsa.row_offset
+        row = np.where((src >= 0) & (src < K), table[src.clip(0, K - 1), cols], b"0.0")
+        row[own] = list(map(repr, values[own].tolist()))
+        yield b",".join(row.tolist()).decode()
 
 
 def _write_rows(path, header, rows):
@@ -156,15 +199,13 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
         )
     if opts["deviation_reference"] == "alpha-matched":
         ipsa = deviation_statistic_matrix(model, grid, scenario, opts["k"])
+        _write_heatmap(out_dir / "ipsa_matrix.csv", ipsa.locations,
+                       ipsa.delta_centers, ipsa.values)
     else:
         out = output_matrix(model, grid, scenario, opts["k"],
                             shared_matrix=opts["shared_matrix"])
-        y_ref = reference_curve(model, scenario.locations)
-        _write_heatmap(out_dir / "output_matrix.csv", out.locations,
-                       out.binning.centers, out.values)
-        ipsa = to_deviations(out, y_ref)
-    _write_heatmap(out_dir / "ipsa_matrix.csv", ipsa.locations,
-                   ipsa.delta_centers, ipsa.values)
+        ipsa = to_deviations(out, reference_curve(model, scenario.locations))
+        _write_output_and_ipsa(out_dir, out, ipsa)
     summary = summarize(ipsa, opts["level"], scenario.location_weights())
     _write_rows(
         out_dir / "summary.csv",

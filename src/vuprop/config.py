@@ -52,7 +52,8 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh)
+                # libyaml's parser when PyYAML was built with it, same result.
+                raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         except OSError as exc:

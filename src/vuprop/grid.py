@@ -7,6 +7,7 @@ alpha-blocks per x node.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,9 +90,13 @@ class Grid:
         self.axes = [d.nodes() for d in spec.dims]
         self.steps = np.array([d.step for d in spec.dims])
         self.cell_volume = float(np.prod(self.steps))
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """(N, ndim) node coordinates, row-major: first dimension slowest.
+        Built on first use; code that broadcasts `axes` never pays for it."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
-        # (N, ndim), row-major: first dimension slowest.
-        self.nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     @property
     def size(self) -> int:

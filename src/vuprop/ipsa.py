@@ -35,6 +35,12 @@ class IpsaMatrix:
     bin_width: float
     y_ref: np.ndarray  # (L,) reference curve
     locations: np.ndarray  # (L,)
+    # (L,) from to_deviations: the row of `values` that receives output bin 0
+    # of column i when that column is its output column moved down whole rows,
+    # bit for bit and zero elsewhere; -1 where re-binning merged or skipped
+    # rows or the column has a sign bit set. None when the values are not a
+    # re-binned output matrix.
+    row_offset: np.ndarray | None = None
 
     @property
     def n_locations(self) -> int:
@@ -86,15 +92,17 @@ def output_matrix(
         dims[xd] = Dim(x_dim.name, lo, hi, x_dim.count, "x")
         return make_grid(GridSpec(tuple(dims)))
 
-    # Pass 1: global output range so every column shares one binning.
-    grids = [local_grid(ell) for ell in scenario.locations]
-    outputs = []
+    def outputs(g: Grid) -> np.ndarray:
+        y = model.raw(*(g.column(d) for d in range(g.ndim)))
+        return np.broadcast_to(y, (g.size,))
+
+    # Two sweeps keep memory at O(N) whatever L is: the first finds the global
+    # output range that every column's binning shares, the second rebuilds
+    # each local grid, evaluates it again, bins and propagates.
     y_min = math.inf
     y_max = -math.inf
-    for g in grids:
-        y = model.raw(*(g.column(d) for d in range(g.ndim)))
-        y = np.broadcast_to(y, (g.size,))
-        outputs.append(y)
+    for ell in scenario.locations:
+        y = outputs(local_grid(ell))
         y_min = min(y_min, float(y.min()))
         y_max = max(y_max, float(y.max()))
     binning = OutputBinning(K if y_max > y_min else 1, y_min, y_max)
@@ -102,8 +110,8 @@ def output_matrix(
     sigma = scenario_sigma(grid, scenario)
     out = np.empty((binning.K, scenario.n_locations))
     for i, ell in enumerate(scenario.locations):
-        g = grids[i]
-        matrix = build_model_matrix(outputs[i], K, grid=g, binning=binning)
+        g = local_grid(ell)
+        matrix = build_model_matrix(outputs(g), K, grid=g, binning=binning)
         mean = np.zeros(grid.ndim)
         mean[xd] = ell
         col = gaussian_on_grid(g, mean, sigma)
@@ -134,7 +142,8 @@ def reference_curve(model: ModelFunction, locations, alpha_ref=None) -> np.ndarr
 def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
     """Shift each column's axis by its reference value and re-bin onto a
     common uniform delta-y axis of the same bin width (nearest-bin,
-    mass-preserving)."""
+    mass-preserving). Columns that only move by whole rows get their offset
+    in `row_offset`."""
     y_ref = np.atleast_1d(np.asarray(y_ref, float))
     if y_ref.size != out.n_locations:
         raise GridError(
@@ -147,11 +156,16 @@ def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
     n_bins = int(round((shifted_max - shifted_min) / b)) + 1
     common = shifted_min + np.arange(n_bins) * b
     values = np.zeros((n_bins, out.n_locations))
+    row_offset = np.full(out.n_locations, -1, dtype=np.int64)
     for i in range(out.n_locations):
         idx = np.clip(np.round((centers - y_ref[i] - common[0]) / b).astype(np.int64),
                       0, n_bins - 1)
-        values[:, i] = np.bincount(idx, weights=out.values[:, i], minlength=n_bins)
-    return IpsaMatrix(values, common, b, y_ref, out.locations.copy())
+        col = out.values[:, i]
+        values[:, i] = np.bincount(idx, weights=col, minlength=n_bins)
+        # bincount adds each mass to +0.0, which keeps it unless it is -0.0.
+        if (np.diff(idx) == 1).all() and not np.signbit(col).any():
+            row_offset[i] = idx[0]
+    return IpsaMatrix(values, common, b, y_ref, out.locations.copy(), row_offset)
 
 
 def _shortest_interval(masses: np.ndarray, level: float) -> tuple[int, int]:

@@ -317,9 +317,9 @@ def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         j = int(bad[0])
+        node = tuple(axis[i] for axis, i in zip(grid.axes, np.unravel_index(j, grid.spec.counts)))
         raise EvaluationError(
-            f"model {model.name!r} produced non-finite output at flat index {j}, "
-            f"node {tuple(grid.nodes[j])}"
+            f"model {model.name!r} produced non-finite output at flat index {j}, node {node}"
         )
     return out
 
@@ -331,6 +331,8 @@ def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarr
     after x. The second is evaluated on the N / nx alpha nodes only, shaped
     (n_pre, 1, n_post). Inputs are per-axis node vectors broadcasting to the
     grid, so a subexpression of one input costs that axis's node count.
+    The first is writable only when it is a full-size array the model
+    allocated for this call, which the caller may then overwrite.
     """
     _check_arity(model, grid)
     xd = grid.spec.x_index()
@@ -339,7 +341,10 @@ def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarr
     args = [grid.axes[d].reshape([-1 if e == d else 1 for e in range(grid.ndim)])
             for d in range(grid.ndim)]
     args[xd] = args[xd] + ell
-    shifted = np.broadcast_to(model.raw(*args), counts).reshape(view)
+    y = model.raw(*args)
+    if y.shape != counts or y.base is not None:  # a broadcast or a view of an input
+        y = np.broadcast_to(y, counts)
+    shifted = y.reshape(view)
     args[xd] = np.full((1,) * grid.ndim, float(ell))
     ref = np.broadcast_to(model.raw(*args), counts[:xd] + (1,) + counts[xd + 1:])
     ref = ref.reshape(view[0], 1, view[2])

@@ -157,5 +157,8 @@ def local_square_deviation(
     """
     shifted, ref = eval_shifted(model, grid, ell)
     f = scenario_factors(grid, replace(scenario, locations=np.zeros(1), weights=None))
-    sq = (shifted - ref) ** 2
+    # Squared in the model's output buffer where it may be overwritten: one
+    # N-sized array per location, not three.
+    sq = np.subtract(shifted, ref, out=shifted if shifted.flags.writeable else None)
+    sq *= sq
     return 0.5 * float(f.pre @ (sq @ f.post) @ f.x_block[0])

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from vuprop.cli import _write_heatmap, main
+from vuprop import grid as grid_module
+from vuprop.cli import _write_heatmap, _write_output_and_ipsa, main
+from vuprop.config import RunConfig
+from vuprop.engine import OutputBinning, OutputProbabilityMatrix
+from vuprop.grid import make_grid
+from vuprop.ipsa import output_matrix, reference_curve, to_deviations
 
 
 CONFIG = """
@@ -290,3 +295,50 @@ def test_write_heatmap_bytes_match_csv_writer(tmp_path, shape):
     _write_heatmap(tmp_path / "new.csv", col_labels, row_labels, values)
     _write_heatmap_csv(tmp_path / "ref.csv", col_labels, row_labels, values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_ipsa_heatmaps_bytes_match_csv_writer(tmp_path, shared):
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG.replace("output:\n  k: 40",
+                                     f"output:\n  k: 40\n  shared_matrix: {str(shared).lower()}"))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+    cfg = RunConfig.load(config)
+    model, scenario = cfg.model(), cfg.scenario()
+    om = output_matrix(model, make_grid(cfg.grid_spec()), scenario, 40, shared_matrix=shared)
+    ipsa = to_deviations(om, reference_curve(model, scenario.locations))
+    _write_heatmap_csv(tmp_path / "om.csv", om.locations, om.binning.centers, om.values)
+    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
+    assert (out / "output_matrix.csv").read_bytes() == (tmp_path / "om.csv").read_bytes()
+    assert (out / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
+
+
+def test_ipsa_writer_formats_flagged_columns_from_values(tmp_path):
+    # Column 0 merges two bins (round half to even), column 1 is a pure shift,
+    # column 2 is a shift whose -0.0 bincount writes as 0.0.
+    values = np.array([[0.1, 0.1, 0.1], [0.2, 1e16, -0.0], [0.3, 5e-324, 0.5], [0.4, 1 / 3, 0.4]])
+    out = OutputProbabilityMatrix(values, OutputBinning(4, 0.0, 4.0), np.array([0.0, 1.0, 2.0]))
+    ipsa = to_deviations(out, [0.0, 0.5, 0.5])
+    assert ipsa.row_offset.tolist() == [-1, 0, -1]
+    _write_output_and_ipsa(tmp_path, out, ipsa)
+    _write_heatmap_csv(tmp_path / "om.csv", out.locations, out.binning.centers, out.values)
+    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
+    assert (tmp_path / "output_matrix.csv").read_bytes() == (tmp_path / "om.csv").read_bytes()
+    assert (tmp_path / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
+
+
+def test_reuse_and_vars_never_build_grid_nodes(config, tmp_path, monkeypatch):
+    build = tmp_path / "build"
+    assert main(["build-matrix", "--config", str(config), "--out-dir", str(build)]) == 0
+
+    def no_nodes(self):
+        raise AssertionError("Grid.nodes was built")
+
+    monkeypatch.setattr(grid_module.Grid, "nodes", property(no_nodes))
+    prop = tmp_path / "prop"
+    assert main(["propagate", "--config", str(config), "--out-dir", str(prop),
+                 "--matrix", str(build / "model_matrix.vupm")]) == 0
+    assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "mc"),
+                 "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 0
+    assert main(["vars", "--config", str(config), "--out-dir", str(tmp_path / "vars")]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from vuprop.config import RunConfig
 from vuprop.errors import ConfigError
@@ -128,3 +129,21 @@ def test_not_yaml(tmp_path):
     path2.write_text("- 1\n- 2\n")
     with pytest.raises(ConfigError, match="mapping"):
         RunConfig.load(path2)
+
+
+def test_c_and_python_loaders_agree(tmp_path):
+    text = BASE + """
+grid:
+  dims:
+    - {name: x, lower: -4, upper: 4.0e+0, count: 80}
+    - {name: a, lower: -1.5e-3, upper: .5, count: 20, role: alpha}
+nested: [[1, 2.5, -3], [[0.1, 1e-300, 123456789.125]], []]
+flags: {on: true, off: false, nothing: null}
+"""
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with open(path) as fh:
+        pure = yaml.load(fh, Loader=yaml.SafeLoader)
+    raw = RunConfig.load(path).raw
+    assert raw == pure
+    assert repr(raw) == repr(pure)  # same types too: int stays int, float stays float

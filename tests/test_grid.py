@@ -26,6 +26,14 @@ def test_2d_first_node():
     assert np.allclose(g.nodes[0], [-4.5, -0.9])
 
 
+def test_nodes_are_built_on_first_use_from_axes():
+    g = make_grid(GridSpec((Dim("x", 0, 2, 2), Dim("a", 0, 3, 3, "alpha"))))
+    assert "nodes" not in vars(g)
+    assert g.nodes is g.nodes  # cached
+    assert np.array_equal(g.nodes, np.stack(np.meshgrid(*g.axes, indexing="ij"), -1).reshape(-1, 2))
+    assert np.array_equal(g.column(1), g.nodes[:, 1])
+
+
 def test_row_major_order_x_slowest():
     g = make_grid(GridSpec((Dim("x", 0, 2, 2), Dim("a", 0, 3, 3, "alpha"))))
     # First dimension varies slowest: alpha runs contiguously per x node.

@@ -264,3 +264,119 @@ def test_deviation_statistic_matrix_memory_is_independent_of_L():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 8 * grid.size
+
+
+# --- output matrix on local grids: two sweeps, same columns ------------------
+
+def _output_matrix_all_outputs(model, grid, scenario, K):
+    """Reference version: every location's local grid and outputs held at once."""
+    xd = grid.spec.x_index()
+    x_dim = grid.spec.dims[xd]
+    half = 4.0 * scenario.sigma_ell
+    grids = []
+    for ell in scenario.locations:
+        dims = list(grid.spec.dims)
+        dims[xd] = Dim(x_dim.name, max(ell - half, x_dim.lower), min(ell + half, x_dim.upper),
+                       x_dim.count, "x")
+        grids.append(make_grid(GridSpec(tuple(dims))))
+    outputs = [np.broadcast_to(model.raw(*(g.column(d) for d in range(g.ndim))), (g.size,))
+               for g in grids]
+    y_min = min(float(y.min()) for y in outputs)
+    y_max = max(float(y.max()) for y in outputs)
+    binning = OutputBinning(K if y_max > y_min else 1, y_min, y_max)
+    sigma = scenario_sigma(grid, scenario)
+    values = np.empty((binning.K, scenario.n_locations))
+    for i, (ell, g, y) in enumerate(zip(scenario.locations, grids, outputs)):
+        mean = np.zeros(grid.ndim)
+        mean[xd] = ell
+        matrix = build_model_matrix(y, K, grid=g, binning=binning)
+        values[:, i] = propagate(matrix, gaussian_on_grid(g, mean, sigma))
+    return values, binning
+
+
+@pytest.mark.parametrize("dims", [
+    (Dim("x", -4, 4, 90), Dim("a", -1, 1, 30, "alpha")),
+    (Dim("a", -1, 1, 30, "alpha"), Dim("x", -4, 4, 90)),
+])
+def test_local_output_matrix_equals_all_outputs_version(dims):
+    grid = make_grid(GridSpec(dims))
+    model = parse_expression("x^2 + 5*sin(3*x) + a*x", [d.name for d in dims])
+    # -3.9 and 3.5 clip their windows at the grid's x extent.
+    sc = _scenario(locations=(-3.9, -0.4, 0.0, 1.3, 3.5))
+    out = output_matrix(model, grid, sc, 120, shared_matrix=False)
+    values, binning = _output_matrix_all_outputs(model, grid, sc, 120)
+    assert np.array_equal(out.values, values)
+    assert out.binning == binning
+
+
+def test_local_output_matrix_memory_is_independent_of_L():
+    # N = 2e5, L = 20: holding every location's grid and outputs took about
+    # 64 * 8 * N bytes (103 MB); two sweeps need about 10 * 8 * N.
+    grid = make_grid(GridSpec((Dim("x", -4, 4, 1000), Dim("a", -1, 1, 200, "alpha"))))
+    sc = _scenario(locations=np.linspace(-3, 3, 20))
+    tracemalloc.start()
+    try:
+        output_matrix(builtin("ipsa2d"), grid, sc, 500, shared_matrix=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * grid.size
+
+
+# --- to_deviations: row offsets of pure-shift columns ------------------------
+
+def _is_shift(column, source, offset):
+    """column equals source moved down offset rows, bit for bit, +0.0 elsewhere."""
+    expected = np.zeros(column.size)
+    expected[offset:offset + source.size] = source
+    return np.array_equal(np.ascontiguousarray(column).view(np.int64), expected.view(np.int64))
+
+
+def _check_row_offsets(out, ipsa):
+    n_bins, K = ipsa.values.shape[0], out.values.shape[0]
+    assert ipsa.row_offset.shape == (out.n_locations,)
+    for i, offset in enumerate(ipsa.row_offset.tolist()):
+        column, source = ipsa.values[:, i], out.values[:, i]
+        if offset >= 0:
+            assert _is_shift(column, source, offset)
+        else:
+            assert offset == -1
+            assert not any(_is_shift(column, source, o) for o in range(n_bins - K + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 25), st.floats(-50, 50), st.floats(1e-3, 10.0),
+       st.lists(st.tuples(st.integers(-30, 30),
+                          st.one_of(st.floats(0, 1),
+                                    st.sampled_from([0.0, 0.5, 0.5 - 1e-12, 0.5 + 1e-12]))),
+                min_size=1, max_size=8),
+       st.data())
+def test_to_deviations_row_offsets_reproduce_pure_shifts(K, lo, width, shifts, data):
+    # References sit a whole number of bins plus a fraction away, ties included:
+    # round-half-even sends centers at k + 0.5 to even rows and merges bins.
+    binning = OutputBinning(K, lo, lo + K * width)
+    b = binning.width
+    y_ref = np.array([n * b + frac * b for n, frac in shifts])
+    masses = data.draw(st.lists(st.floats(1e-300, 1.0), min_size=K * len(shifts),
+                                max_size=K * len(shifts)))
+    out = OutputProbabilityMatrix(np.reshape(masses, (K, len(shifts))), binning,
+                                  np.arange(len(shifts), dtype=float))
+    _check_row_offsets(out, to_deviations(out, y_ref))
+
+
+def test_to_deviations_flags_merged_bins_and_negative_zero():
+    # Centers 0.5 .. 3.5. Column 0 (y_ref 0) lands on rows 0.5, 1.5, 2.5, 3.5,
+    # which round half to even as 0, 2, 2, 4: two bins merge. Column 1 moves
+    # whole rows. Column 2 moves whole rows too, but bincount turns -0.0 into 0.0.
+    binning = OutputBinning(4, 0.0, 4.0)
+    values = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, -0.0], [0.3, 0.3, 0.5], [0.4, 0.4, 0.4]])
+    out = OutputProbabilityMatrix(values, binning, np.array([0.0, 1.0, 2.0]))
+    ipsa = to_deviations(out, [0.0, 0.5, 0.5])
+    assert ipsa.row_offset.tolist() == [-1, 0, -1]
+    assert ipsa.values[2, 0] == 0.2 + 0.3
+    _check_row_offsets(out, ipsa)
+
+
+def test_deviation_statistic_matrix_has_no_row_offsets():
+    sc = _scenario()
+    assert deviation_statistic_matrix(builtin("ipsa2d"), _grid(40, 10), sc, 30).row_offset is None

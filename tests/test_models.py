@@ -132,6 +132,16 @@ def test_eval_on_grid_nonfinite_reports_node():
         eval_on_grid(m, g)
 
 
+def test_eval_on_grid_nonfinite_names_node_of_multi_dim_grid():
+    g = make_grid(GridSpec((Dim("x", 0, 2, 2), Dim("a", -1, 1, 4, "alpha"),
+                            Dim("b", 0, 3, 3, "alpha"))))
+    m = parse_expression("1/((x-1.5)^2 + (a-0.25)^2 + (b-2.5)^2)", ["x", "a", "b"])
+    j = int(np.ravel_multi_index((1, 2, 2), g.spec.counts))
+    with pytest.raises(EvaluationError) as info:
+        eval_on_grid(m, g)
+    assert str(info.value).endswith(f"at flat index {j}, node {tuple(g.nodes[j])}")
+
+
 def test_models_are_deterministic():
     m = builtin("bench2d")
     x = np.linspace(-3, 3, 50)
@@ -152,6 +162,15 @@ def test_eval_shifted_views_and_values():
     assert np.array_equal(shifted.ravel(), model.raw(a, x + 0.3, b))
     full_ref = model.raw(a, np.full(g.size, 0.3), b)
     assert np.array_equal(np.broadcast_to(ref, shifted.shape).ravel(), full_ref)
+
+
+def test_eval_shifted_hands_over_only_fresh_outputs():
+    g = make_grid(GridSpec((Dim("x", -1, 1, 4), Dim("a", -1, 1, 3, "alpha"))))
+    assert eval_shifted(builtin("ipsa2d"), g, 0.3)[0].flags.writeable
+    assert not eval_shifted(parse_expression("x", ["x", "a"]), g, 0.3)[0].flags.writeable
+    one_x = make_grid(GridSpec((Dim("x", -1, 1, 1), Dim("a", -1, 1, 3, "alpha"))))
+    # Full-size, but the alpha input itself.
+    assert not eval_shifted(parse_expression("a", ["x", "a"]), one_x, 0.3)[0].flags.writeable
 
 
 def test_eval_shifted_errors():

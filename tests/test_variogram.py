@@ -144,6 +144,16 @@ def test_local_square_deviation_matches_brute_force():
     assert got == pytest.approx(acc, rel=1e-10)
 
 
+def test_local_square_deviation_leaves_grid_axes_alone():
+    # With one x node, the model "a" returns the alpha axis itself at full
+    # size: squaring in place there would overwrite the grid.
+    grid = make_grid(GridSpec((Dim("x", -1, 1, 1), Dim("a", -1, 1, 5, "alpha"))))
+    axes = [a.copy() for a in grid.axes]
+    sc = MeasurementScenario(np.array([0.3]), 0.4, 0.25)
+    assert local_square_deviation(parse_expression("a", ["x", "a"]), 0.3, sc, grid) == 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(axes, grid.axes))
+
+
 def test_variogram_requires_1d_grid():
     g = make_grid(GridSpec((Dim("x", 0, 1, 4), Dim("a", 0, 1, 4, "alpha"))))
     with pytest.raises(GridError):
