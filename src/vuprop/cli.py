@@ -38,6 +38,7 @@ from .ipsa import (
     to_deviations,
 )
 from .mc import McConfig, mc_propagate_many
+from .models import x_first
 from .variogram import integrated_variogram, local_square_deviation
 
 
@@ -190,7 +191,8 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
     grid = make_grid(cfg.grid_spec())
     scenario = cfg.scenario()
     opts = cfg.output()
-    x_dim = grid.spec.dims[grid.spec.x_index()]
+    xd = grid.spec.x_index()
+    x_dim = grid.spec.dims[xd]
     if scenario.sigma_ell < x_dim.step / 10:
         print(
             f"warning: sigma_ell = {scenario.sigma_ell} is below a tenth of the "
@@ -204,7 +206,7 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
     else:
         out = output_matrix(model, grid, scenario, opts["k"],
                             shared_matrix=opts["shared_matrix"])
-        ipsa = to_deviations(out, reference_curve(model, scenario.locations))
+        ipsa = to_deviations(out, reference_curve(x_first(model, xd), scenario.locations))
         _write_output_and_ipsa(out_dir, out, ipsa)
     summary = summarize(ipsa, opts["level"], scenario.location_weights())
     _write_rows(
@@ -231,14 +233,16 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
             raise ConfigError(f"--scales: not a comma-separated float list: {args.scales!r}")
     else:
         scales = opts["scales"]
-    x_dim = grid.spec.dims[grid.spec.x_index()]
+    xd = grid.spec.x_index()
+    x_dim = grid.spec.dims[xd]
+    x_model = x_first(model, xd)
     ell_grid = make_grid(GridSpec((x_dim,)))
     extent = x_dim.upper - x_dim.lower
     alpha_ref = [0.0] * (model.arity - 1)
     results = {}
     gamma_rows = []
     for frac in scales:
-        res = integrated_variogram(model, ell_grid, frac * extent,
+        res = integrated_variogram(x_model, ell_grid, frac * extent,
                                    opts["v_count"], alpha_ref)
         results[f"scale_{frac}"] = {"V": res.V, "Gamma": res.Gamma,
                                     "expectation": res.expectation}
@@ -272,8 +276,7 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:
         binning = _binning_from_csv(args.fixed_binning_from)
     else:
         binning = matrix_from_model(model, grid, k).binning
-    mc_cfg = McConfig(opts["n_samples"], k, cfg.seed, binning,
-                      sort=opts["sort"] or args.mc_sort)
+    mc_cfg = McConfig(opts["n_samples"], k, cfg.seed, binning)
     out = mc_propagate_many(model, scenario, mc_cfg, grid)
     _write_heatmap(out_dir / "mc_matrix.csv", out.locations,
                    out.binning.centers, out.values)
@@ -342,8 +345,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.choices["vars"].add_argument("--scales", help="comma-separated domain fractions")
     sub.choices["mc"].add_argument("--fixed-binning-from",
                                    help="CSV whose bin centers fix the output binning")
-    sub.choices["mc"].add_argument("--mc-sort", action="store_true",
-                                   help="sort samples before binning")
     bench = sub.choices["bench"]
     bench.add_argument("--n", help="comma-separated grid sizes")
     bench.add_argument("--l-values", help="comma-separated location counts")

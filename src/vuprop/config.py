@@ -193,10 +193,7 @@ class RunConfig:
         n = section.get("n_samples", 100_000)
         if not isinstance(n, int) or n < 1:
             raise ConfigError("mc.n_samples: expected a positive integer")
-        sort = section.get("sort", False)
-        if not isinstance(sort, bool):
-            raise ConfigError("mc.sort: expected a boolean")
-        return {"n_samples": n, "sort": sort}
+        return {"n_samples": n}
 
     # --- vars ----------------------------------------------------------------
 

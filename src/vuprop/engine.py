@@ -40,6 +40,11 @@ class OutputBinning:
     y_min: float
     y_max: float
 
+    @classmethod
+    def spanning(cls, K: int, y_min: float, y_max: float) -> "OutputBinning":
+        """K bins over [y_min, y_max]; a constant range collapses to one bin."""
+        return cls(K if y_max > y_min else 1, y_min, y_max)
+
     @property
     def width(self) -> float:
         if self.K == 1:
@@ -126,11 +131,7 @@ def build_model_matrix(
     if not np.all(np.isfinite(outputs)):
         raise EvaluationError("non-finite model outputs")
     if binning is None:
-        y_min = float(outputs.min())
-        y_max = float(outputs.max())
-        if y_min == y_max:
-            K = 1
-        binning = OutputBinning(K, y_min, y_max)
+        binning = OutputBinning.spanning(K, float(outputs.min()), float(outputs.max()))
     bin_of = binning.assign(outputs)
     return SparseModelMatrix(bin_of, binning, grid, model_name)
 

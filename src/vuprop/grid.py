@@ -106,10 +106,6 @@ class Grid:
     def ndim(self) -> int:
         return self.spec.ndim
 
-    def column(self, d: int) -> np.ndarray:
-        """Coordinate of every node along dimension d, in flat order."""
-        return self.nodes[:, d]
-
     def __repr__(self):
         dims = ", ".join(
             f"{d.name}[{d.lower}, {d.upper}]x{d.count}" for d in self.spec.dims

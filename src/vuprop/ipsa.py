@@ -8,7 +8,7 @@ a global marginal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .engine import (
 )
 from .errors import GridError
 from .grid import Dim, Grid, GridSpec, make_grid
-from .models import ModelFunction, eval_shifted
+from .models import ModelFunction, eval_at_locations, eval_shifted
 
 
 @dataclass(frozen=True)
@@ -84,59 +84,58 @@ def output_matrix(
     xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     half = 4.0 * scenario.sigma_ell
-
-    def local_grid(ell: float) -> Grid:
-        lo = max(ell - half, x_dim.lower)
-        hi = min(ell + half, x_dim.upper)
-        dims = list(grid.spec.dims)
-        dims[xd] = Dim(x_dim.name, lo, hi, x_dim.count, "x")
-        return make_grid(GridSpec(tuple(dims)))
-
-    def outputs(g: Grid) -> np.ndarray:
-        y = model.raw(*(g.column(d) for d in range(g.ndim)))
-        return np.broadcast_to(y, (g.size,))
-
-    # Two sweeps keep memory at O(N) whatever L is: the first finds the global
-    # output range that every column's binning shares, the second rebuilds
-    # each local grid, evaluates it again, bins and propagates.
-    y_min = math.inf
-    y_max = -math.inf
-    for ell in scenario.locations:
-        y = outputs(local_grid(ell))
-        y_min = min(y_min, float(y.min()))
-        y_max = max(y_max, float(y.max()))
-    binning = OutputBinning(K if y_max > y_min else 1, y_min, y_max)
-
     sigma = scenario_sigma(grid, scenario)
-    out = np.empty((binning.K, scenario.n_locations))
-    for i, ell in enumerate(scenario.locations):
-        g = local_grid(ell)
-        matrix = build_model_matrix(outputs(g), K, grid=g, binning=binning)
+
+    def evaluate(ell: float) -> tuple[Grid, np.ndarray]:
+        dims = list(grid.spec.dims)
+        dims[xd] = Dim(x_dim.name, max(ell - half, x_dim.lower),
+                       min(ell + half, x_dim.upper), x_dim.count, "x")
+        g = make_grid(GridSpec(tuple(dims)))
+        return g, eval_shifted(model, g, 0.0)[0].ravel()
+
+    def column(ell: float, g: Grid):
         mean = np.zeros(grid.ndim)
         mean[xd] = ell
-        col = gaussian_on_grid(g, mean, sigma)
-        out[:, i] = propagate(matrix, col)
-    return OutputProbabilityMatrix(out, binning, scenario.locations.copy())
+        return gaussian_on_grid(g, mean, sigma)
+
+    values, binning = _binned_sweep(scenario.locations, K, evaluate, column)
+    return OutputProbabilityMatrix(values, binning, scenario.locations.copy())
+
+
+def _binned_sweep(locations, K: int, evaluate, column) -> tuple[np.ndarray, OutputBinning]:
+    """One propagated column per location, all on one shared binning.
+
+    evaluate(ell) gives a grid and the outputs at its nodes, in flat order;
+    column(ell, grid) gives the input distribution on that grid. Two sweeps
+    keep memory at O(N) whatever L is: the first finds the global output
+    range that the binning spans, the second evaluates each location again,
+    bins and propagates.
+    """
+    y_min = math.inf
+    y_max = -math.inf
+    for ell in locations:
+        y = evaluate(ell)[1]
+        y_min = min(y_min, float(y.min()))
+        y_max = max(y_max, float(y.max()))
+    binning = OutputBinning.spanning(K, y_min, y_max)
+    values = np.empty((binning.K, locations.size))
+    for i, ell in enumerate(locations):
+        g, y = evaluate(ell)
+        matrix = build_model_matrix(y, K, grid=g, binning=binning)
+        values[:, i] = propagate(matrix, column(ell, g))
+    return values, binning
 
 
 def reference_curve(model: ModelFunction, locations, alpha_ref=None) -> np.ndarray:
     """y_ref[i] = M(location_i, alpha_ref); alpha_ref defaults to zeros.
 
     Zero is the mode of the centered alpha-Gaussian, matching the
-    maximum-input-probability reference convention.
+    maximum-input-probability reference convention. The location is the
+    model's first input (`models.x_first` moves the grid's x there).
     """
     locations = np.atleast_1d(np.asarray(locations, float))
-    n_alpha = model.arity - 1
-    if alpha_ref is None:
-        alpha_ref = np.zeros(n_alpha)
-    else:
-        alpha_ref = np.atleast_1d(np.asarray(alpha_ref, float))
-        if alpha_ref.size != n_alpha:
-            raise GridError(
-                f"alpha_ref needs {n_alpha} components, got {alpha_ref.size}"
-            )
-    args = [locations] + [np.full_like(locations, a) for a in alpha_ref]
-    return np.asarray(model.raw(*args), float)
+    alpha = np.zeros(model.arity - 1) if alpha_ref is None else alpha_ref
+    return np.array(eval_at_locations(model, locations, alpha))
 
 
 def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
@@ -239,23 +238,12 @@ def deviation_statistic_matrix(
     """
     base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
 
-    def statistic(ell):
+    def evaluate(ell: float) -> tuple[Grid, np.ndarray]:
         shifted, ref = eval_shifted(model, grid, ell)
-        return (shifted - ref).ravel()
+        return grid, (shifted - ref).ravel()
 
-    # Two sweeps keep memory at O(N) whatever L is: the first finds the global
-    # range that every column's binning shares, the second bins and propagates.
-    s_min = math.inf
-    s_max = -math.inf
-    for ell in scenario.locations:
-        s = statistic(ell)
-        s_min = min(s_min, float(s.min()))
-        s_max = max(s_max, float(s.max()))
-    binning = OutputBinning(K if s_max > s_min else 1, s_min, s_max)
-    values = np.empty((binning.K, scenario.n_locations))
-    for i, ell in enumerate(scenario.locations):
-        matrix = build_model_matrix(statistic(ell), K, grid=grid, binning=binning)
-        values[:, i] = propagate(matrix, base_col)
+    values, binning = _binned_sweep(scenario.locations, K, evaluate,
+                                    lambda ell, g: base_col)
     y_ref = np.zeros(scenario.n_locations)  # statistic is already a deviation
     return IpsaMatrix(values, binning.centers, binning.width, y_ref,
                       scenario.locations.copy())

@@ -146,7 +146,7 @@ def mc_propagate(
     else:
         y_min = float(y[0] if cfg.sort else y.min())
         y_max = float(y[-1] if cfg.sort else y.max())
-        binning = OutputBinning(cfg.K if y_max > y_min else 1, y_min, y_max)
+        binning = OutputBinning.spanning(cfg.K, y_min, y_max)
     counts = np.bincount(binning.assign(y), minlength=binning.K)
     return counts / cfg.n_samples, binning
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionError
+from .errors import EvaluationError, ExpressionError, GridError
 from .grid import Grid
 
 _FUNCTIONS: dict[str, Callable] = {
@@ -312,7 +312,7 @@ def _check_arity(model: ModelFunction, grid: Grid) -> None:
 def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
     """Evaluate the model at every grid node, in flat order."""
     _check_arity(model, grid)
-    out = model.raw(*(grid.column(d) for d in range(grid.ndim)))
+    out = model.raw(*grid.nodes.T)  # one flat coordinate column per dimension
     out = np.broadcast_to(out, (grid.size,)).astype(float, copy=False)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
@@ -351,3 +351,26 @@ def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarr
     if not (np.isfinite(shifted).all() and np.isfinite(ref).all()):
         raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
     return shifted, ref
+
+
+def x_first(model: ModelFunction, xd: int) -> ModelFunction:
+    """The model with input xd, the grid's x, moved to the front, where
+    location-first callers pass it; the model itself when xd is 0."""
+    if xd == 0:
+        return model
+
+    def fn(x, *rest):
+        return model.fn(*rest[:xd], x, *rest[xd:])
+
+    return ModelFunction(f"{model.name}@x-first", model.arity, fn)
+
+
+def eval_at_locations(model: ModelFunction, ell: np.ndarray, alpha) -> np.ndarray:
+    """M(ell, alpha) at every entry of ell, shaped like ell: the location is
+    the model's first input, the others are fixed at the entries of alpha."""
+    alpha = np.atleast_1d(np.asarray(alpha, float))
+    if model.arity != 1 + alpha.size:
+        raise GridError(f"model arity {model.arity} needs {model.arity - 1} "
+                        f"alpha_ref components, got {alpha.size}")
+    args = [ell] + [np.full_like(ell, a) for a in alpha]
+    return np.broadcast_to(model.raw(*args), ell.shape)

@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import MeasurementScenario, scenario_factors
 from .errors import GridError
 from .grid import Grid
-from .models import ModelFunction, eval_shifted
+from .models import ModelFunction, eval_at_locations, eval_shifted
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,12 @@ def _ell_axis(ell_grid: Grid) -> np.ndarray:
     return ell_grid.axes[0]
 
 
-def _eval_1d(model: ModelFunction, ell: np.ndarray, alpha_ref) -> np.ndarray:
-    """Model along the location axis with parameter inputs fixed."""
-    alpha_ref = () if alpha_ref is None else tuple(np.atleast_1d(alpha_ref))
-    if model.arity != 1 + len(alpha_ref):
-        raise GridError(
-            f"model arity {model.arity} needs {model.arity - 1} alpha_ref components"
-        )
-    args = [ell] + [np.full_like(ell, a) for a in alpha_ref]
-    return np.broadcast_to(model.raw(*args), ell.shape)
-
-
 def _square_diffs(model, ell: np.ndarray, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
     """(M(ell + v) - M(ell))^2 for every (v, ell) pair, shape (n_v, n_ell):
     one model call for M(ell) and one for all the shifted rows."""
-    m_ell = _eval_1d(model, ell, alpha_ref)
-    return (_eval_1d(model, ell[None, :] + v_nodes[:, None], alpha_ref) - m_ell) ** 2
+    alpha = () if alpha_ref is None else alpha_ref
+    m_ell = eval_at_locations(model, ell, alpha)
+    return (eval_at_locations(model, ell[None, :] + v_nodes[:, None], alpha) - m_ell) ** 2
 
 
 def _valid_pairs(ell_grid: Grid, v_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,14 +66,16 @@ def _gammas(model, ell_grid: Grid, v_nodes: np.ndarray, alpha_ref) -> np.ndarray
 
 
 def variogram(model: ModelFunction, ell_grid: Grid, v: float, alpha_ref=None) -> float:
-    """Half the midpoint-rule average of (M(ell+v) - M(ell))^2 over locations."""
+    """Half the midpoint-rule average of (M(ell+v) - M(ell))^2 over locations.
+    ell is the model's first input (`models.x_first` moves x there)."""
     return float(_gammas(model, ell_grid, np.array([float(v)]), alpha_ref)[0])
 
 
 def integrated_variogram(
     model: ModelFunction, ell_grid: Grid, V: float, v_count: int, alpha_ref=None
 ) -> VariogramResult:
-    """Midpoint quadrature of gamma over v in [0, V]; expectation = Gamma / V."""
+    """Midpoint quadrature of gamma over v in [0, V]; expectation = Gamma / V.
+    ell is the model's first input, as in `variogram`."""
     if not V > 0:
         raise GridError(f"scale limit V must be > 0, got {V}")
     if v_count < 1:
@@ -126,7 +118,8 @@ def generalized_expectation(
     alpha_ref=None,
 ) -> float:
     """Sum over (v, ell) of weight * (M(ell+v) - M(ell))^2 / 2 for an
-    arbitrary joint probability over scales and locations."""
+    arbitrary joint probability over scales and locations. ell is the
+    model's first input, as in `variogram`."""
     v_nodes = np.asarray(v_nodes, float)
     ell = _ell_axis(ell_grid)
     weights = np.asarray(weights, float)

@@ -39,6 +39,11 @@ def config(tmp_path):
     return path
 
 
+def _with_output(text, option):
+    """The config text with one more line in its output section."""
+    return text.replace("output:\n  k: 40", f"output:\n  k: 40\n  {option}")
+
+
 def _read_heatmap(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -209,6 +214,12 @@ def test_mc_fixed_binning_matches_propagate_axis(config, tmp_path):
     assert np.all(tvd < 0.1)
 
 
+def test_mc_sort_flag_is_gone(config, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "o"), "--mc-sort"])
+    assert exc.value.code == 2
+
+
 def test_mc_deterministic_given_seed(config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["mc", "--config", str(config), "--out-dir", str(a)])
@@ -342,3 +353,53 @@ def test_reuse_and_vars_never_build_grid_nodes(config, tmp_path, monkeypatch):
     assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "mc"),
                  "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 0
     assert main(["vars", "--config", str(config), "--out-dir", str(tmp_path / "vars")]) == 0
+    for mode in ("shared_matrix: false", "deviation_reference: alpha-matched"):
+        other = tmp_path / "ipsa.yaml"
+        other.write_text(_with_output(CONFIG, mode))
+        assert main(["ipsa", "--config", str(other), "--out-dir", str(tmp_path / "ipsa")]) == 0
+
+
+_X_DIM = "    - {name: x, lower: -4.0, upper: 4.0, count: 80}\n"
+_A_DIM = "    - {name: alpha, lower: -1.0, upper: 1.0, count: 20, role: alpha}\n"
+
+
+def _read_numbers(path):
+    with open(path, newline="") as fh:
+        return np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_x_slot_follows_the_grid_not_the_model_signature(tmp_path, shared):
+    # The same model on [x, alpha] and on [alpha, x], its variables in grid
+    # order: the location must reach the model's x input in both.
+    runs = {}
+    for name, dims in (("x_first", _X_DIM + _A_DIM), ("x_last", _A_DIM + _X_DIM)):
+        variables = "[x, alpha]" if name == "x_first" else "[alpha, x]"
+        text = CONFIG.replace("builtin: ipsa2d",
+                              f'expression: "x^2 + 10*alpha"\n  variables: {variables}')
+        text = _with_output(text.replace(_X_DIM + _A_DIM, dims),
+                            f"shared_matrix: {str(shared).lower()}")
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text)
+        out = tmp_path / name
+        assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert main(["vars", "--config", str(config), "--out-dir", str(out)]) == 0
+        runs[name] = out
+    for csv_name in ("summary.csv", "gamma.csv", "delta_sq.csv"):
+        a = _read_numbers(runs["x_first"] / csv_name)
+        b = _read_numbers(runs["x_last"] / csv_name)
+        assert a.shape == b.shape
+        assert np.allclose(a, b, rtol=1e-9, atol=1e-12), csv_name
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_ipsa_constant_model(tmp_path, shared):
+    config = tmp_path / "run.yaml"
+    text = CONFIG.replace("builtin: ipsa2d", 'expression: "3"\n  variables: [x, alpha]')
+    config.write_text(_with_output(text, f"shared_matrix: {str(shared).lower()}"))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+    _, _, values = _read_heatmap(out / "ipsa_matrix.csv")
+    assert values.shape == (1, 3)
+    for i in range(3):
+        assert math.fsum(values[:, i]) == pytest.approx(1.0, abs=1e-9)

@@ -65,7 +65,7 @@ def test_section_defaults(tmp_path):
     cfg = _load(tmp_path, BASE)
     assert cfg.output() == {"k": 500, "level": 0.9,
                             "deviation_reference": "mode", "shared_matrix": True}
-    assert cfg.mc() == {"n_samples": 100_000, "sort": False}
+    assert cfg.mc() == {"n_samples": 100_000}
     assert cfg.vars() == {"scales": [0.1, 0.3, 0.5], "v_count": 200}
     bench = cfg.bench()
     assert bench["l_values"] == [1, 2, 5, 10, 20, 100]

@@ -272,7 +272,7 @@ def test_shifted_matrix_matches_absolute_convention():
 def _shifted_matrix_full_columns(model, grid, ell, K):
     """Reference shifted matrix: the model on all N full-length columns."""
     xd = grid.spec.x_index()
-    args = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
+    args = [grid.nodes[:, d] + ell if d == xd else grid.nodes[:, d] for d in range(grid.ndim)]
     return build_model_matrix(np.broadcast_to(model.raw(*args), (grid.size,)), K, grid=grid)
 
 
@@ -381,3 +381,8 @@ def test_sidecar_grid_size_mismatch(tmp_path):
     save_matrix(path, m)
     with pytest.raises(SidecarFormatError, match="grid"):
         load_matrix(path, grid=_grid(count=11))
+
+
+def test_output_binning_spanning_collapses_a_constant_range():
+    assert OutputBinning.spanning(10, 2.0, 2.0) == OutputBinning(1, 2.0, 2.0)
+    assert OutputBinning.spanning(10, -1.0, 2.0) == OutputBinning(10, -1.0, 2.0)

@@ -31,7 +31,6 @@ def test_nodes_are_built_on_first_use_from_axes():
     assert "nodes" not in vars(g)
     assert g.nodes is g.nodes  # cached
     assert np.array_equal(g.nodes, np.stack(np.meshgrid(*g.axes, indexing="ij"), -1).reshape(-1, 2))
-    assert np.array_equal(g.column(1), g.nodes[:, 1])
 
 
 def test_row_major_order_x_slowest():

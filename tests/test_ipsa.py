@@ -226,8 +226,8 @@ def _deviation_statistic_all_stats(model, grid, scenario, K):
     base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
     stats = []
     for ell in scenario.locations:
-        shifted = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
-        ref = [np.full(grid.size, ell) if d == xd else grid.column(d) for d in range(grid.ndim)]
+        shifted = [grid.nodes[:, d] + ell if d == xd else grid.nodes[:, d] for d in range(grid.ndim)]
+        ref = [np.full(grid.size, ell) if d == xd else grid.nodes[:, d] for d in range(grid.ndim)]
         stats.append(np.broadcast_to(model.raw(*shifted) - model.raw(*ref), (grid.size,)))
     s_min = min(float(s.min()) for s in stats)
     s_max = max(float(s.max()) for s in stats)
@@ -279,7 +279,7 @@ def _output_matrix_all_outputs(model, grid, scenario, K):
         dims[xd] = Dim(x_dim.name, max(ell - half, x_dim.lower), min(ell + half, x_dim.upper),
                        x_dim.count, "x")
         grids.append(make_grid(GridSpec(tuple(dims))))
-    outputs = [np.broadcast_to(model.raw(*(g.column(d) for d in range(g.ndim))), (g.size,))
+    outputs = [np.broadcast_to(model.raw(*(g.nodes[:, d] for d in range(g.ndim))), (g.size,))
                for g in grids]
     y_min = min(float(y.min()) for y in outputs)
     y_max = max(float(y.max()) for y in outputs)

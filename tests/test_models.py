@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vuprop import Dim, GridSpec, builtin, eval_on_grid, make_grid, parse_expression
 from vuprop.errors import EvaluationError, ExpressionError
-from vuprop.models import eval_ast, eval_shifted, parse_ast, pretty
+from vuprop.models import eval_ast, eval_at_locations, eval_shifted, parse_ast, pretty, x_first
 
 
 def test_builtins():
@@ -158,7 +158,7 @@ def test_eval_shifted_views_and_values():
     shifted, ref = eval_shifted(model, g, 0.3)
     assert shifted.shape == (3, 5, 4)
     assert ref.shape == (3, 1, 4)
-    a, x, b = (g.column(d) for d in range(3))
+    a, x, b = (g.nodes[:, d] for d in range(3))
     assert np.array_equal(shifted.ravel(), model.raw(a, x + 0.3, b))
     full_ref = model.raw(a, np.full(g.size, 0.3), b)
     assert np.array_equal(np.broadcast_to(ref, shifted.shape).ravel(), full_ref)
@@ -179,3 +179,18 @@ def test_eval_shifted_errors():
         eval_shifted(parse_expression("1/x + a", ["x", "a"]), g, 0.0)  # 1/ell
     with pytest.raises(EvaluationError, match="arity"):
         eval_shifted(parse_expression("x", ["x"]), g, 0.0)
+
+
+def test_x_first_moves_the_x_input_to_the_front():
+    model = parse_expression("x - 10*a + 100*b", ["a", "x", "b"])
+    moved = x_first(model, 1)
+    assert moved(2.0, 1.0, 3.0) == model(1.0, 2.0, 3.0) == 292.0
+    assert x_first(model, 0) is model
+
+
+def test_eval_at_locations_broadcasts_to_the_locations():
+    ell = np.array([[0.5, 1.0], [2.0, 3.0]])
+    const = eval_at_locations(parse_expression("3", ["x", "a"]), ell, [0.0])
+    assert const.shape == ell.shape and (const == 3.0).all()
+    assert eval_at_locations(builtin("ipsa2d"), ell, 0.25).tolist() == \
+        builtin("ipsa2d").raw(ell, np.full_like(ell, 0.25)).tolist()

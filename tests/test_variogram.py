@@ -168,8 +168,8 @@ def _local_square_deviation_fsum(model, ell, scenario, grid):
     xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
     p = gaussian_on_grid(grid, np.zeros(grid.ndim), sigma)
-    shifted = [grid.column(d) + ell if d == xd else grid.column(d) for d in range(grid.ndim)]
-    ref = [np.full(grid.size, ell) if d == xd else grid.column(d) for d in range(grid.ndim)]
+    shifted = [grid.nodes[:, d] + ell if d == xd else grid.nodes[:, d] for d in range(grid.ndim)]
+    ref = [np.full(grid.size, ell) if d == xd else grid.nodes[:, d] for d in range(grid.ndim)]
     sq = (np.broadcast_to(model.raw(*shifted), (grid.size,))
           - np.broadcast_to(model.raw(*ref), (grid.size,))) ** 2
     return math.fsum(p.values * sq / 2.0)
