@@ -23,7 +23,7 @@ from .engine import (
 )
 from .errors import GridError
 from .grid import Dim, Grid, GridSpec, make_grid
-from .models import ModelFunction, eval_at_locations, eval_shifted
+from .models import ModelFunction, _eval_broadcast, eval_at_locations, eval_shifted
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def output_matrix(
         dims[xd] = Dim(x_dim.name, max(ell - half, x_dim.lower),
                        min(ell + half, x_dim.upper), x_dim.count, "x")
         g = make_grid(GridSpec(tuple(dims)))
-        return g, eval_shifted(model, g, 0.0)[0].ravel()
+        return g, _eval_broadcast(model, g, g.axes[xd]).ravel()
 
     def column(ell: float, g: Grid):
         mean = np.zeros(grid.ndim)

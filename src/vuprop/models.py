@@ -324,30 +324,30 @@ def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
     return out
 
 
-def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarray, np.ndarray]:
-    """M(ell + x, alpha) and M(ell, alpha) on a grid whose x is the deviation from ell.
-
-    The first has the grid's (n_pre, nx, n_post) view: dims before x, x, dims
-    after x. The second is evaluated on the N / nx alpha nodes only, shaped
-    (n_pre, 1, n_post). Inputs are per-axis node vectors broadcasting to the
-    grid, so a subexpression of one input costs that axis's node count.
-    The first is writable only when it is a full-size array the model
-    allocated for this call, which the caller may then overwrite.
-    """
+def _eval_broadcast(model: ModelFunction, grid: Grid, x: np.ndarray) -> np.ndarray:
+    """M at the nodes x in the grid's x slot and the grid's own nodes in the
+    others, unchecked, in the (n_pre, x.size, n_post) view: dims before x, x,
+    dims after x. Inputs are per-axis node vectors broadcasting to that shape,
+    so a subexpression of one input costs that axis's node count. The result
+    is writable only when it is a full-size array the model allocated for
+    this call, which the caller may then overwrite."""
     _check_arity(model, grid)
     xd = grid.spec.x_index()
-    counts = grid.spec.counts
-    view = (math.prod(counts[:xd]), counts[xd], math.prod(counts[xd + 1:]))
-    args = [grid.axes[d].reshape([-1 if e == d else 1 for e in range(grid.ndim)])
-            for d in range(grid.ndim)]
-    args[xd] = args[xd] + ell
-    y = model.raw(*args)
-    if y.shape != counts or y.base is not None:  # a broadcast or a view of an input
-        y = np.broadcast_to(y, counts)
-    shifted = y.reshape(view)
-    args[xd] = np.full((1,) * grid.ndim, float(ell))
-    ref = np.broadcast_to(model.raw(*args), counts[:xd] + (1,) + counts[xd + 1:])
-    ref = ref.reshape(view[0], 1, view[2])
+    shape = grid.spec.counts[:xd] + (x.size,) + grid.spec.counts[xd + 1:]
+    y = model.raw(*((x if d == xd else ax).reshape([-1 if e == d else 1 for e in range(grid.ndim)])
+                    for d, ax in enumerate(grid.axes)))
+    if y.shape != shape or y.base is not None:  # a broadcast or a view of an input
+        y = np.broadcast_to(y, shape)
+    return y.reshape(math.prod(shape[:xd]), x.size, math.prod(shape[xd + 1:]))
+
+
+def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarray, np.ndarray]:
+    """M(ell + x, alpha) and M(ell, alpha) on a grid whose x is the deviation
+    from ell, both checked finite, in `_eval_broadcast`'s view: the first on
+    the whole grid, the second on the N / nx alpha nodes only, shaped
+    (n_pre, 1, n_post)."""
+    shifted = _eval_broadcast(model, grid, grid.axes[grid.spec.x_index()] + ell)
+    ref = _eval_broadcast(model, grid, np.array([float(ell)]))
     if not (np.isfinite(shifted).all() and np.isfinite(ref).all()):
         raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
     return shifted, ref

@@ -403,3 +403,18 @@ def test_ipsa_constant_model(tmp_path, shared):
     assert values.shape == (1, 3)
     for i in range(3):
         assert math.fsum(values[:, i]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ipsa_local_windows_on_a_grid_without_x_zero(tmp_path):
+    # 1/x is undefined at x = 0, which the grid's x range [1, 5] leaves out.
+    config = tmp_path / "run.yaml"
+    text = CONFIG.replace("builtin: ipsa2d", 'expression: "1/x + alpha"\n  variables: [x, alpha]')
+    text = text.replace("locations: [-1.0, 0.0, 1.0]", "locations: [1.5, 3.0, 4.5]")
+    text = text.replace("lower: -4.0, upper: 4.0", "lower: 1.0, upper: 5.0")
+    config.write_text(_with_output(text, "shared_matrix: false"))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+    _, _, values = _read_heatmap(out / "output_matrix.csv")
+    assert values.shape == (40, 3)
+    for i in range(3):
+        assert math.fsum(values[:, i]) == pytest.approx(1.0, abs=1e-9)

@@ -309,6 +309,19 @@ def test_local_output_matrix_equals_all_outputs_version(dims):
     assert out.binning == binning
 
 
+@pytest.mark.parametrize("text", ["1/x + a", "sqrt(x - 1) * a"])
+def test_local_output_matrix_evaluates_only_window_nodes(text):
+    # Undefined at x = 0, which this grid leaves out: no window may evaluate
+    # the model there.
+    grid = make_grid(GridSpec((Dim("x", 1, 5, 90), Dim("a", -1, 1, 30, "alpha"))))
+    model = parse_expression(text, ["x", "a"])
+    sc = _scenario(locations=(1.2, 3.0, 4.9))
+    out = output_matrix(model, grid, sc, 120, shared_matrix=False)
+    values, binning = _output_matrix_all_outputs(model, grid, sc, 120)
+    assert np.array_equal(out.values, values)
+    assert out.binning == binning
+
+
 def test_local_output_matrix_memory_is_independent_of_L():
     # N = 2e5, L = 20: holding every location's grid and outputs took about
     # 64 * 8 * N bytes (103 MB); two sweeps need about 10 * 8 * N.
