@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bench import Thresholds, assert_complexity, run_sweep
-from .config import RunConfig
+from .config import RunConfig, scale_fractions
 from .engine import (
     load_matrix,
     matrix_from_model,
@@ -226,13 +226,13 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
     grid = make_grid(cfg.grid_spec())
     scenario = cfg.scenario()
     opts = cfg.vars()
+    scales = opts["scales"]
     if args.scales:
         try:
-            scales = [float(s) for s in args.scales.split(",")]
+            parsed = [float(s) for s in args.scales.split(",")]
         except ValueError:
             raise ConfigError(f"--scales: not a comma-separated float list: {args.scales!r}")
-    else:
-        scales = opts["scales"]
+        scales = scale_fractions(parsed, "--scales")
     xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     x_model = x_first(model, xd)
@@ -289,8 +289,11 @@ def _binning_from_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     centers = np.array([float(r[0]) for r in rows[1:]])
-    if centers.size < 2:
-        raise VupropError(f"{path}: need at least two bin centers to infer a binning")
+    if centers.size == 0:
+        raise VupropError(f"{path}: need at least one bin center to infer a binning")
+    if centers.size == 1:
+        # One bin takes every sample, whatever its range; its label is c.
+        return OutputBinning(1, float(centers[0]), float(centers[0]))
     width = centers[1] - centers[0]
     return OutputBinning(centers.size, float(centers[0] - width / 2),
                          float(centers[-1] + width / 2))

@@ -39,6 +39,17 @@ def _number(mapping, key, path, default=None):
     return float(value)
 
 
+def scale_fractions(scales, path) -> list[float]:
+    """The variogram scales as floats: a non-empty list of fractions of the
+    x extent, each in (0, 1]. `path` names where they came from."""
+    if not isinstance(scales, list) or not scales:
+        raise ConfigError(f"{path}: expected a non-empty list of domain fractions")
+    for s in scales:
+        if not isinstance(s, (int, float)) or not 0 < s <= 1:
+            raise ConfigError(f"{path}: fractions must be in (0, 1], got {s!r}")
+    return [float(s) for s in scales]
+
+
 @dataclass
 class RunConfig:
     raw: dict
@@ -201,16 +212,11 @@ class RunConfig:
         section = self.raw.get("vars", {})
         if not isinstance(section, dict):
             raise ConfigError("vars: expected a mapping")
-        scales = section.get("scales", [0.1, 0.3, 0.5])
-        if not isinstance(scales, list) or not scales:
-            raise ConfigError("vars.scales: expected a non-empty list of domain fractions")
-        for s in scales:
-            if not isinstance(s, (int, float)) or not 0 < s <= 1:
-                raise ConfigError(f"vars.scales: fractions must be in (0, 1], got {s!r}")
+        scales = scale_fractions(section.get("scales", [0.1, 0.3, 0.5]), "vars.scales")
         v_count = section.get("v_count", 200)
         if not isinstance(v_count, int) or v_count < 1:
             raise ConfigError("vars.v_count: expected a positive integer")
-        return {"scales": [float(s) for s in scales], "v_count": v_count}
+        return {"scales": scales, "v_count": v_count}
 
     # --- bench ---------------------------------------------------------------
 

@@ -55,6 +55,71 @@ def _valid_pairs(ell_grid: Grid, v_nodes: np.ndarray) -> tuple[np.ndarray, np.nd
     return valid, counts
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and its error e, with s + e = a + b
+    exactly when nothing overflows."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _row_fsums(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """math.fsum(row[ok]) for every row of x and of the mask valid, bit for
+    bit: one vectorised error-free sum over all rows, with fsum run only on
+    the rows whose rounding it cannot prove.
+
+    The sum (Ogita, Rump & Oishi, "Accurate sum and dot product", 2005). The
+    invalid entries are zeroed and each row is padded with +0.0 to m = 2^D
+    columns, D = ceil(log2 n). Each of the D levels adds the row's two halves
+    with Knuth's TwoSum, s + e = a + b exactly, and adds the level's errors
+    into err. So the exact row sum is S = hi + (sum of all e), hi being the
+    last level's s.
+
+    The bound. Let u = 2^-53, gamma_k = ku / (1 - ku) and T = sum |x|. In
+    round-to-nearest |e| <= u|s|, and a level-k sum is at most (1 + u)^k
+    times the |x| of its subtree, so sum |e| <= u D (1 + u)^D T. err sums
+    those errors in float: a level's e.sum() rounds at most m/2 - 1 < n
+    times on the way of any term, adding it into err at most D - 1 times
+    more. So |err - sum e| <= gamma_{n+D} sum |e|, about (n + D) D u^2 T.
+    T is bounded by A = fl(sum |x|) (1 + 2nu), as a float sum of at most n
+    nonzero terms is off by at most gamma_{n-1} T. For n far below 2^50,
+    B = 4 (n + D)(D + 1) u^2 A exceeds that error bound with room for every
+    rounding of A and B themselves, so |hi + err - S| <= B.
+
+    The certificate. TwoSum(hi, err) gives r + d = hi + err exactly, so
+    |S - r| <= |d| + B. Let g be the smaller gap from |r| to its neighbouring
+    doubles. If fl(|d| + B) < g/2, then |d| + B < g/2 too, because rounding
+    is monotone and g/2 is exact, so S rounds to r: fsum's correctly rounded
+    result. g/2 underflows to 0 when |r| < 2^-1021, so zero and tiny sums
+    always fall back (and fsum decides the sign of a zero), as do rows
+    holding inf or nan. A < 2^1023 keeps the tree and fsum's own partial
+    sums far from overflow, so a row where fsum would raise OverflowError
+    falls back and raises it there.
+    """
+    rows, n = x.shape
+    depth = (n - 1).bit_length()
+    tree = np.zeros((rows, 1 << depth))
+    np.copyto(tree[:, :n], x, where=valid)
+    err = np.zeros(rows)
+    with np.errstate(all="ignore"):
+        A = np.abs(tree).sum(axis=1) * (1 + 2 * n * _U)
+        while tree.shape[1] > 1:
+            half = tree.shape[1] // 2
+            tree, e = _two_sum(tree[:, :half], tree[:, half:])
+            err += e.sum(axis=1)
+        r, d = _two_sum(tree[:, 0], err)
+        B = (4 * (n + depth) * (depth + 1) * _U * _U) * A
+        mag = np.abs(r)
+        gap = np.minimum(np.spacing(mag), mag - np.nextafter(mag, 0.0))
+        proven = (A < 2.0 ** 1023) & (np.abs(d) + B < 0.5 * gap)
+    for i in np.flatnonzero(~proven):
+        r[i] = math.fsum(x[i][valid[i]])
+    return r
+
+
 def _gammas(model, ell_grid: Grid, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
     """gamma at every scale: half the fsum-exact mean of each row of squared
     differences over its valid locations."""
@@ -62,7 +127,7 @@ def _gammas(model, ell_grid: Grid, v_nodes: np.ndarray, alpha_ref) -> np.ndarray
         raise GridError(f"scale v must be >= 0, got {v_nodes.min()}")
     valid, counts = _valid_pairs(ell_grid, v_nodes)
     sq = _square_diffs(model, _ell_axis(ell_grid), v_nodes, alpha_ref)
-    return np.array([math.fsum(row[ok]) / (2.0 * n) for row, ok, n in zip(sq, valid, counts)])
+    return _row_fsums(sq, valid) / (2.0 * counts)
 
 
 def variogram(model: ModelFunction, ell_grid: Grid, v: float, alpha_ref=None) -> float:

@@ -418,3 +418,42 @@ def test_ipsa_local_windows_on_a_grid_without_x_zero(tmp_path):
     assert values.shape == (40, 3)
     for i in range(3):
         assert math.fsum(values[:, i]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("flag, yaml_scales", [
+    ("--scales=0", "[0]"),
+    ("--scales=-0.5", "[-0.5]"),
+    ("--scales=nan", "[.nan]"),
+    ("--scales=1.5", "[1.5]"),
+    ("--scales=0.2,2", "[0.2, 2]"),
+])
+def test_vars_scales_outside_unit_interval_are_config_errors(config, tmp_path, capsys,
+                                                             flag, yaml_scales):
+    # The flag and the config key share one rule and one exit code.
+    out = str(tmp_path / "out")
+    assert main(["vars", "--config", str(config), "--out-dir", out, flag]) == 2
+    assert "--scales: fractions must be in (0, 1]" in capsys.readouterr().err
+    other = tmp_path / "scales.yaml"
+    other.write_text(CONFIG + f"vars:\n  scales: {yaml_scales}\n")
+    assert main(["vars", "--config", str(other), "--out-dir", out]) == 2
+    assert "vars.scales: fractions must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_mc_fixed_binning_from_one_bin_csv(tmp_path):
+    # A constant model propagates into one bin at 3.0; MC on that binning
+    # writes what plain MC writes.
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG.replace("builtin: ipsa2d",
+                                     'expression: "3 + 0*x + 0*a"\n  variables: [x, a]'))
+    base = ["--config", str(config), "--out-dir"]
+    prop, fixed, plain = tmp_path / "prop", tmp_path / "fixed", tmp_path / "plain"
+    assert main(["propagate", *base, str(prop)]) == 0
+    _, centers, _ = _read_heatmap(prop / "output_matrix.csv")
+    assert centers.tolist() == [3.0]
+    assert main(["mc", *base, str(fixed),
+                 "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 0
+    assert main(["mc", *base, str(plain)]) == 0
+    assert (fixed / "mc_matrix.csv").read_bytes() == (plain / "mc_matrix.csv").read_bytes()
+    _, centers, values = _read_heatmap(fixed / "mc_matrix.csv")
+    assert centers.tolist() == [3.0]
+    assert values.tolist() == [[1.0, 1.0, 1.0]]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vuprop import (
     Dim,
@@ -20,6 +21,7 @@ from vuprop import (
 )
 from vuprop.distributions import scenario_sigma
 from vuprop.errors import GridError
+from vuprop.variogram import _row_fsums
 
 
 def _ell_grid(lower=0.0, upper=10.0, count=500):
@@ -219,3 +221,153 @@ def test_integrated_variogram_gamma_is_bitwise_per_scale(model, alpha_ref):
     oracle = [_gamma_fsum(model, g, v, alpha_ref) for v in res.v_grid]
     assert np.array_equal(res.gamma, per_scale)
     assert np.array_equal(res.gamma, oracle)
+
+
+# --- _row_fsums: the vectorised sum behind gamma, against math.fsum ----------
+
+def _fsum_rows(x, valid):
+    return np.array([math.fsum(row[ok]) for row, ok in zip(x, valid)])
+
+
+def _assert_bitwise_fsum(x, valid):
+    try:
+        want = _fsum_rows(x, valid)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _row_fsums(x, valid)
+        return
+    got = _row_fsums(x, valid)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1000, 2.0**-53, 2.0**-54,
+            1.0, -1.0, 3.0, 1e300, -1e300, 2.0**1000]
+
+
+@st.composite
+def _rows(draw):
+    """Rows of one width, with a mask: arbitrary finite values (ties,
+    subnormals and huge exponents mixed in), and cancelling rows that hold
+    each value and its negation, shuffled, plus one term when n is odd."""
+    n = draw(st.integers(1, 40))
+    count = draw(st.integers(1, 4))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_SPECIAL),
+                       st.floats(-1e-300, 1e-300),
+                       st.floats(-1e3, 1e3))
+    rows = []
+    for _ in range(count):
+        if draw(st.booleans()):
+            half = draw(st.lists(values, min_size=n // 2, max_size=n // 2))
+            extra = draw(st.lists(values, min_size=n - 2 * (n // 2), max_size=n - 2 * (n // 2)))
+            row = draw(st.permutations(half + [-v for v in half] + extra))
+        else:
+            row = draw(st.lists(values, min_size=n, max_size=n))
+        rows.append(row)
+    valid = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                          min_size=count, max_size=count))
+    return np.array(rows, float), np.array(valid, bool)
+
+
+@given(_rows())
+@example((np.array([[1.0, 2.0**-54, 2.0**-54]]), np.ones((1, 3), bool)))  # a tie
+@example((np.array([[5e-324, 5e-324, 2.0**-1070], [-0.0, -0.0, -0.0]]),
+          np.ones((2, 3), bool)))
+@example((np.array([[3.5], [2.0]]), np.array([[True], [False]])))
+@settings(deadline=None, max_examples=150)
+def test_row_fsums_is_bitwise_fsum(case):
+    _assert_bitwise_fsum(*case)
+
+
+def test_row_fsums_bitwise_on_wide_rows():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 127, 128, 129, 1000, 1024, 1200):
+        x = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-300, 300, (6, 1))
+        x[1] = rng.standard_normal(n) ** 2
+        x[2] = np.abs(x[2]) * 2.0**-1070  # subnormal terms
+        x[3] = -0.0
+        valid = rng.random((6, n)) < 0.8
+        _assert_bitwise_fsum(x, valid)
+        _assert_bitwise_fsum(x, np.ones_like(valid))
+
+
+def _counting_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counted(values):
+        calls.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+def test_row_fsums_tie_rows_take_the_fallback(monkeypatch):
+    # 1 + 2^-53 lies halfway between 1 and its successor: fsum rounds to even.
+    # In the second row 2^-106 breaks the tie upward, and the tree's own
+    # result 1.0 would be one ulp off.
+    x = np.array([[1.0, 2.0**-54, 2.0**-54, 0.0],
+                  [1.0, 2.0**-53, 2.0**-106, 0.0],
+                  [1.0, 2.0**-20, 3.0, 0.5]])
+    valid = np.ones(x.shape, bool)
+    want = _fsum_rows(x, valid)
+    assert want.tolist() == [1.0, 1.0 + 2.0**-52, 4.5 + 2.0**-20]
+    calls = _counting_fsum(monkeypatch)
+    assert _row_fsums(x, valid).tolist() == want.tolist()
+    assert calls == [4, 4]
+
+
+# Near ties that hi + err puts on the wrong side by the rounding of err
+# alone, found by searching random rows of near-tie terms. Without the bound
+# B the first two, and without the smaller gap below a power of two the
+# third, would come out one double away from fsum.
+_ERR_ROUNDING_ROWS = [
+    [-6.84227765783602e-49, 4.6222318665293654e-33, -31.999999999999996,
+     -1.0263416486754031e-48, 5.551115123125782e-17, 31.999999999999996,
+     6.933347799794049e-33, 4.6222318665293674e-33, 1.232595164407831e-32],
+    [-1.1102230246251565e-16, 1.3866695599588098e-32, -1.6653345369377348e-16,
+     -1.0263416486754031e-48, 1.5, 5.551115123125782e-17, 1.1102230246251562e-16,
+     9.244463733058732e-33, 1.8488927466117464e-32],
+    [5.551115123125784e-17, -1.2325951644078308e-32, -9.244463733058732e-33,
+     -6.842277657836021e-49, -1.6653345369377348e-16, -0.9999999999999999,
+     5.551115123125784e-17],
+]
+
+
+@pytest.mark.parametrize("row", _ERR_ROUNDING_ROWS)
+def test_row_fsums_bound_catches_rounding_in_err(monkeypatch, row):
+    x = np.array([row])
+    valid = np.ones(x.shape, bool)
+    want = _fsum_rows(x, valid)
+    calls = _counting_fsum(monkeypatch)
+    assert _row_fsums(x, valid).tolist() == want.tolist()
+    assert calls == [len(row)]
+
+
+def test_row_fsums_overflow_raises_like_fsum():
+    # fsum raises on an intermediate overflow, even where the total is finite.
+    for row in ([1e308, 1e308], [1e308, 1e308, -1e308], [0.0, 1e308, 1e308, -1e308]):
+        x = np.array([row, [1.0] * len(row)])
+        with pytest.raises(OverflowError):
+            math.fsum(x[0])
+        with pytest.raises(OverflowError):
+            _row_fsums(x, np.ones(x.shape, bool))
+
+
+
+def test_row_fsums_rows_near_overflow_take_the_fallback(monkeypatch):
+    x = np.array([[0.75 * 2.0**1023, 0.75 * 2.0**1023], [1.0, 2.0]])
+    calls = _counting_fsum(monkeypatch)
+    assert _row_fsums(x, np.ones(x.shape, bool)).tolist() == [1.5 * 2.0**1023, 3.0]
+    assert calls == [2]
+
+
+def test_vars_gamma_rows_need_no_fallback(monkeypatch):
+    # The perfbench vars-local rows: every one is proven by the certificate.
+    g = _ell_grid(-4.0, 4.0, 1000)
+    model = parse_expression("x^2 + 5*sin(3*x) + a", ["x", "a"])
+    calls = _counting_fsum(monkeypatch)
+    for frac in (0.1, 0.3, 0.5):
+        integrated_variogram(model, g, V=8.0 * frac, v_count=200, alpha_ref=[0.0])
+    assert len(calls) == 3  # the Gamma fsum of each scale, over its 200 gammas
