@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -29,6 +30,7 @@ from .engine import (
     save_matrix,
 )
 from .errors import ConfigError, VupropError
+from .floatrepr import repr_table
 from .grid import GridSpec, make_grid
 from .ipsa import (
     deviation_statistic_matrix,
@@ -39,15 +41,14 @@ from .ipsa import (
 )
 from .mc import McConfig, mc_propagate_many
 from .models import x_first
-from .variogram import integrated_variogram, local_square_deviation
+from .variogram import integrated_variogram, local_square_deviation, scale_nodes
 
 
 def _write_heatmap(path, col_labels, row_labels, values):
     """First row: column labels (locations); first column: row labels (bin
     centers); body: probabilities. Fields are the repr of each float, lines
     end in CRLF: the bytes of csv.writer, as no such field needs quoting."""
-    _write_heatmap_rows(path, col_labels, row_labels,
-                        (",".join(map(repr, row.tolist())) for row in values))
+    _write_heatmap_rows(path, col_labels, row_labels, _joined(repr_table(values)))
 
 
 def _write_heatmap_rows(path, col_labels, row_labels, bodies):
@@ -58,25 +59,24 @@ def _write_heatmap_rows(path, col_labels, row_labels, bodies):
             fh.write(f"{label!r},{body}\r\n")
 
 
-def _repr_table(values):
-    """The repr of every float as ASCII bytes; 24 characters hold the longest
-    float64 repr. Rows are converted one at a time, so no list of the whole
-    table's strings is ever alive."""
-    table = np.empty(values.shape, "S24")
-    for r, row in enumerate(values):
-        table[r] = list(map(repr, row.tolist()))
-    return table
+def _joined(table):
+    """Each row of an S24 repr table as one comma-separated string."""
+    for row in table:
+        yield b",".join(row.tolist()).decode()
 
 
 def _write_output_and_ipsa(out_dir, out, ipsa):
     """output_matrix.csv and ipsa_matrix.csv, the bytes _write_heatmap writes.
     Every nonzero cell of a pure-shift ipsa column is a cell of the output
     matrix, so each probability is formatted once for both files."""
-    table = _repr_table(out.values)
+    table = repr_table(out.values)
     _write_heatmap_rows(out_dir / "output_matrix.csv", out.locations, out.binning.centers,
-                        (b",".join(row.tolist()).decode() for row in table))
+                        _joined(table))
     _write_heatmap_rows(out_dir / "ipsa_matrix.csv", ipsa.locations, ipsa.delta_centers,
                         _ipsa_bodies(table, ipsa))
+
+
+_GATHER_CELLS = 1 << 14  # cells of ipsa_matrix.csv gathered at a time
 
 
 def _ipsa_bodies(table, ipsa):
@@ -84,15 +84,19 @@ def _ipsa_bodies(table, ipsa):
 
     A pure-shift column i holds output bin k on row row_offset[i] + k and 0.0
     elsewhere (`ipsa.to_deviations` decides which columns are). The others
-    are formatted from ipsa.values."""
+    are formatted from ipsa.values. Rows are gathered in blocks of about
+    _GATHER_CELLS cells, one fancy index per block."""
     K, L = table.shape
+    n_rows = ipsa.values.shape[0]
     cols = np.arange(L)
     own = np.flatnonzero(ipsa.row_offset < 0)
-    for j, values in enumerate(ipsa.values):
-        src = j - ipsa.row_offset
-        row = np.where((src >= 0) & (src < K), table[src.clip(0, K - 1), cols], b"0.0")
-        row[own] = list(map(repr, values[own].tolist()))
-        yield b",".join(row.tolist()).decode()
+    step = max(1, _GATHER_CELLS // L)
+    for j0 in range(0, n_rows, step):
+        src = np.arange(j0, min(j0 + step, n_rows))[:, None] - ipsa.row_offset
+        block = table[src.clip(0, K - 1), cols]
+        block[(src < 0) | (src >= K)] = b"0.0"
+        block[:, own] = repr_table(ipsa.values[j0:j0 + step, own])
+        yield from _joined(block)
 
 
 def _write_rows(path, header, rows):
@@ -226,18 +230,27 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
     grid = make_grid(cfg.grid_spec())
     scenario = cfg.scenario()
     opts = cfg.vars()
-    scales = opts["scales"]
+    scales, source = opts["scales"], "vars.scales"
     if args.scales:
         try:
             parsed = [float(s) for s in args.scales.split(",")]
         except ValueError:
             raise ConfigError(f"--scales: not a comma-separated float list: {args.scales!r}")
-        scales = scale_fractions(parsed, "--scales")
+        scales, source = scale_fractions(parsed, "--scales"), "--scales"
     xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     x_model = x_first(model, xd)
     ell_grid = make_grid(GridSpec((x_dim,)))
     extent = x_dim.upper - x_dim.lower
+    for frac in scales:
+        # The last scale node must leave the first location a partner inside
+        # the grid: V(1 - 1/(2 v_count)) <= extent (1 - 1/(2 nx)).
+        if ell_grid.axes[0][0] + scale_nodes(frac * extent, opts["v_count"])[-1] > x_dim.upper:
+            limit = (1 - 1 / (2 * x_dim.count)) / (1 - 1 / (2 * opts["v_count"]))
+            raise ConfigError(
+                f"{source}: fraction {frac} leaves no location inside the grid at the "
+                f"last of {opts['v_count']} scale nodes on {x_dim.count} x nodes; "
+                f"the largest usable fraction is {math.floor(limit * 1e4) / 1e4}")
     alpha_ref = [0.0] * (model.arity - 1)
     results = {}
     gamma_rows = []

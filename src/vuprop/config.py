@@ -45,7 +45,8 @@ def scale_fractions(scales, path) -> list[float]:
     if not isinstance(scales, list) or not scales:
         raise ConfigError(f"{path}: expected a non-empty list of domain fractions")
     for s in scales:
-        if not isinstance(s, (int, float)) or not 0 < s <= 1:
+        # A YAML bool is an int to Python; `true` is not the fraction 1.
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s <= 1:
             raise ConfigError(f"{path}: fractions must be in (0, 1], got {s!r}")
     return [float(s) for s in scales]
 

@@ -65,13 +65,17 @@ class OutputBinning:
         return np.linspace(self.y_min, self.y_max, self.K + 1)
 
     def assign(self, y: np.ndarray) -> np.ndarray:
-        """Bin index per value: floor((y - y_min)/b), clamped into [0, K-1]."""
+        """Bin index per value: floor((y - y_min)/b), clamped into [0, K-1].
+
+        The values must be finite; both callers check. Clamped before the
+        integer cast, so a huge finite value lands in the end bin nearest it."""
         y = np.asarray(y, float)
         if self.K == 1 or self.y_max == self.y_min:
             return np.zeros(y.shape, dtype=np.int64)
         b = (self.y_max - self.y_min) / self.K
-        raw = np.floor((y - self.y_min) / b).astype(np.int64)
-        return np.clip(raw, 0, self.K - 1)
+        with np.errstate(over="ignore"):  # an infinite quotient clamps like any other
+            raw = np.floor((y - self.y_min) / b)
+        return np.clip(raw, 0, self.K - 1, out=raw).astype(np.int64)
 
 
 @dataclass(frozen=True)

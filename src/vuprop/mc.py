@@ -7,12 +7,13 @@ location i of a run with seed s draws from the stream keyed (s, i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import OutputBinning, OutputProbabilityMatrix
-from .errors import DegenerateDistributionError, GridError
+from .errors import DegenerateDistributionError, EvaluationError, GridError
 from .grid import Grid
 from .models import ModelFunction
 from .distributions import MeasurementScenario, scenario_sigma
@@ -135,17 +136,22 @@ def draw_samples(sampler: SamplerSpec, n: int, seed) -> np.ndarray:
 def mc_propagate(
     model: ModelFunction, sampler: SamplerSpec, cfg: McConfig
 ) -> tuple[np.ndarray, OutputBinning]:
-    """Sample, evaluate, bin, normalize. Returns (probabilities, binning)."""
+    """Sample, evaluate, bin, normalize. Returns (probabilities, binning).
+    A non-finite output raises EvaluationError: no binning can place it."""
     samples = draw_samples(sampler, cfg.n_samples, cfg.seed)
     y = model.raw(*(samples[:, d] for d in range(sampler.ndim)))
     y = np.broadcast_to(y, (cfg.n_samples,))
+    # Every output is finite iff both extremes are (a nan reaches both); no
+    # n-sized temporary is made to find out.
+    y_min, y_max = float(y.min()), float(y.max())
+    if not (math.isfinite(y_min) and math.isfinite(y_max)):
+        raise EvaluationError(f"model {model.name!r} produced "
+                              f"{np.count_nonzero(~np.isfinite(y))} non-finite outputs "
+                              f"in {cfg.n_samples} samples")
     if cfg.sort:
         y = np.sort(y)
-    if cfg.binning is not None:
-        binning = cfg.binning
-    else:
-        y_min = float(y[0] if cfg.sort else y.min())
-        y_max = float(y[-1] if cfg.sort else y.max())
+    binning = cfg.binning
+    if binning is None:
         binning = OutputBinning.spanning(cfg.K, y_min, y_max)
     counts = np.bincount(binning.assign(y), minlength=binning.K)
     return counts / cfg.n_samples, binning
@@ -175,5 +181,8 @@ def mc_propagate_many(
         sampler = gaussian_sampler(grid, mean, sigma)
         col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i),
                            cfg.binning, cfg.sort)
-        out[:, i], _ = mc_propagate(model, sampler, col_cfg)
+        try:
+            out[:, i], _ = mc_propagate(model, sampler, col_cfg)
+        except EvaluationError as exc:
+            raise EvaluationError(f"location {ell}: {exc}") from None
     return OutputProbabilityMatrix(out, cfg.binning, scenario.locations.copy())

@@ -136,6 +136,11 @@ def variogram(model: ModelFunction, ell_grid: Grid, v: float, alpha_ref=None) ->
     return float(_gammas(model, ell_grid, np.array([float(v)]), alpha_ref)[0])
 
 
+def scale_nodes(V: float, v_count: int) -> np.ndarray:
+    """The v_count midpoint nodes of [0, V], the scales of the quadrature."""
+    return (np.arange(v_count) + 0.5) * (V / v_count)
+
+
 def integrated_variogram(
     model: ModelFunction, ell_grid: Grid, V: float, v_count: int, alpha_ref=None
 ) -> VariogramResult:
@@ -145,10 +150,9 @@ def integrated_variogram(
         raise GridError(f"scale limit V must be > 0, got {V}")
     if v_count < 1:
         raise GridError(f"v_count must be >= 1, got {v_count}")
-    dv = V / v_count
-    v_nodes = (np.arange(v_count) + 0.5) * dv
+    v_nodes = scale_nodes(V, v_count)
     gamma = _gammas(model, ell_grid, v_nodes, alpha_ref)
-    Gamma = math.fsum(gamma) * dv
+    Gamma = math.fsum(gamma) * (V / v_count)
     return VariogramResult(v_nodes, gamma, V, Gamma, Gamma / V)
 
 
@@ -157,7 +161,7 @@ def ivars_weights(ell_grid: Grid, V: float, v_count: int) -> tuple[np.ndarray, n
     uniform over scales, conditionally uniform over the valid locations of
     each scale. weights[i, j] is the mass at (v_i, ell_j); rows of invalid
     pairs are zero; the whole matrix sums to 1."""
-    v_nodes = (np.arange(v_count) + 0.5) * (V / v_count)
+    v_nodes = scale_nodes(V, v_count)
     valid, counts = _valid_pairs(ell_grid, v_nodes)
     return v_nodes, valid / (v_count * counts[:, None])
 

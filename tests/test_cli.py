@@ -457,3 +457,65 @@ def test_mc_fixed_binning_from_one_bin_csv(tmp_path):
     _, centers, values = _read_heatmap(fixed / "mc_matrix.csv")
     assert centers.tolist() == [3.0]
     assert values.tolist() == [[1.0, 1.0, 1.0]]
+
+
+def _expression_config(tmp_path, name, expression, extra=""):
+    path = tmp_path / name
+    path.write_text(CONFIG.replace("builtin: ipsa2d",
+                                   f'expression: "{expression}"\n  variables: [x, a]') + extra)
+    return path
+
+
+def test_mc_fixed_binning_puts_huge_outputs_in_the_last_bin(tmp_path):
+    # exp(100 x) is finite on the whole grid but far above the binning of x:
+    # its mass belongs in the top bin, not the bottom one.
+    prop, mc = tmp_path / "prop", tmp_path / "mc"
+    assert main(["propagate", "--config", str(_expression_config(tmp_path, "x.yaml", "x + 0*a")),
+                 "--out-dir", str(prop)]) == 0
+    config = _expression_config(tmp_path, "exp.yaml", "exp(100*x) + a")
+    assert main(["mc", "--config", str(config), "--out-dir", str(mc),
+                 "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 0
+    locs, _, values = _read_heatmap(mc / "mc_matrix.csv")
+    assert locs.tolist() == [-1.0, 0.0, 1.0]
+    # ell = 1: all but the samples below x = 0.014 (0.7 % at sigma 0.4) land
+    # above the top edge, 4; the cast to int64 had sent them to bin 0.
+    assert values[-1, 2] > 0.99
+    assert values[0, 2] == 0.0
+
+
+def test_mc_fixed_binning_rejects_non_finite_outputs(tmp_path, capsys):
+    # sqrt(x) is nan for x < 0: plain mc fails on the grid, and the fixed
+    # binning must not bin the nan samples silently either.
+    prop, mc = tmp_path / "prop", tmp_path / "mc"
+    assert main(["propagate", "--config", str(_expression_config(tmp_path, "x.yaml", "x + 0*a")),
+                 "--out-dir", str(prop)]) == 0
+    config = _expression_config(tmp_path, "sqrt.yaml", "sqrt(x) + a")
+    assert main(["mc", "--config", str(config), "--out-dir", str(mc),
+                 "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "location -1.0:" in err and "non-finite outputs in 2000 samples" in err
+    assert not (mc / "mc_matrix.csv").exists()
+    assert main(["mc", "--config", str(config), "--out-dir", str(mc)]) == 1
+
+
+@pytest.mark.parametrize("scales", ["[1.0]", "[0.5, 0.9963]"])
+def test_vars_fraction_beyond_the_last_usable_scale_is_a_config_error(config, tmp_path,
+                                                                      capsys, scales):
+    # 80 x nodes, 200 scale nodes: the last node of V = f * extent leaves the
+    # first location a partner only for f <= (1 - 1/160) / (1 - 1/400) = 0.99624.
+    other = tmp_path / "scales.yaml"
+    other.write_text(CONFIG + f"vars:\n  scales: {scales}\n")
+    assert main(["vars", "--config", str(other), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "vars.scales: fraction" in err and "largest usable fraction is 0.9962" in err
+    assert main(["vars", "--config", str(config), "--out-dir", str(tmp_path / "flag"),
+                 "--scales", "1"]) == 2
+    assert "--scales: fraction 1.0 leaves no location" in capsys.readouterr().err
+    other.write_text(CONFIG + "vars:\n  scales: [0.9962]\n")
+    assert main(["vars", "--config", str(other), "--out-dir", str(tmp_path / "ok")]) == 0
+
+
+def test_vars_scales_reject_yaml_bools(tmp_path, capsys):
+    other = _expression_config(tmp_path, "bool.yaml", "x + a", "vars:\n  scales: [true]\n")
+    assert main(["vars", "--config", str(other), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "vars.scales: fractions must be in (0, 1], got True" in capsys.readouterr().err

@@ -56,6 +56,13 @@ def test_binning_clamps_out_of_range():
     assert b.assign(np.array([-5.0, 99.0])).tolist() == [0, 2]
 
 
+def test_binning_clamps_huge_finite_values_to_the_nearest_end(recwarn):
+    # Clamped before the integer cast: 1e300 / b overflows int64.
+    b = OutputBinning(10, 0.0, 1.0)
+    assert b.assign(np.array([1e300, -1e300, 1.7e308, 0.55])).tolist() == [9, 0, 9, 5]
+    assert not recwarn.list
+
+
 def test_identity_model_two_bins():
     # Four nodes 0.5..3.5 mapped through y = x into K = 2 bins of the range
     # [0.5, 3.5]: the lower two nodes land in bin 0, the upper two in bin 1.
