@@ -181,8 +181,7 @@ def assert_complexity(result: BenchResult, thresholds: Thresholds = Thresholds()
     crossover point, and the single-distribution cost parity."""
     t = thresholds
     checks = {}
-    ns = sorted({row.N for row in result.rows})
-    n = ns[-1]  # evaluate at the largest grid in the sweep
+    n = max(row.N for row in result.rows)  # evaluate at the largest grid in the sweep
     vup1 = result.lookup("vup", n, 1).median_s
     mc1 = result.lookup("mc", n, 1).median_s
     vupL = result.lookup("vup", n, t.ratio_L).median_s
@@ -198,12 +197,9 @@ def assert_complexity(result: BenchResult, thresholds: Thresholds = Thresholds()
         t.mc_ratio_min <= ratio <= t.mc_ratio_max,
         f"t_mc({t.ratio_L})/t_mc(1) = {ratio:.2f} (range [{t.mc_ratio_min}, {t.mc_ratio_max}])",
     )
-    ls = sorted({row.L for row in result.rows})
-    crossover = None
-    for L in ls:
-        if result.lookup("vup", n, L).median_s < result.lookup("mc", n, L).median_s:
-            crossover = L
-            break
+    crossover = next((L for L in sorted({row.L for row in result.rows})
+                      if result.lookup("vup", n, L).median_s < result.lookup("mc", n, L).median_s),
+                     None)
     checks["crossover"] = (
         crossover is not None and crossover <= t.crossover_max,
         f"first L with t_vup < t_mc: {crossover} (limit {t.crossover_max})",

@@ -11,25 +11,25 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bench import Thresholds, assert_complexity, run_sweep
-from .config import RunConfig, scale_fractions
+from .config import RunConfig
 from .engine import (
+    OutputBinning,
     load_matrix,
     matrix_from_model,
     matrix_manifest,
     propagate_scenario,
     save_matrix,
 )
-from .errors import ConfigError, VupropError
+from .errors import ConfigError, GridError, VupropError
 from .floatrepr import repr_table
 from .grid import GridSpec, make_grid
 from .ipsa import (
@@ -41,7 +41,7 @@ from .ipsa import (
 )
 from .mc import McConfig, mc_propagate_many
 from .models import x_first
-from .variogram import integrated_variogram, local_square_deviation, scale_nodes
+from .variogram import integrated_variogram, local_square_deviation
 
 
 def _write_heatmap(path, col_labels, row_labels, values):
@@ -103,14 +103,11 @@ def _write_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _grid_hash(spec) -> str:
-    blob = json.dumps(
-        [[d.name, d.lower, d.upper, d.count, d.role] for d in spec.dims]
-    ).encode()
+    blob = json.dumps([[d.name, d.lower, d.upper, d.count, d.role] for d in spec.dims]).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -156,10 +153,8 @@ def _build_record(matrix_path, grid, model) -> dict | None:
     expected = {"grid_hash": _grid_hash(grid.spec), "model_hash": model.digest}
     for key, value in expected.items():
         if key in record and record[key] != value:
-            what = key.split("_")[0]
-            raise VupropError(
-                f"{matrix_path}: sidecar was built on a different {what} than the config"
-            )
+            raise VupropError(f"{matrix_path}: sidecar was built on a different "
+                              f"{key.split('_')[0]} than the config")
     if not all(key in record for key in expected):
         print(f"warning: no build record for {matrix_path} in {manifest_path}; "
               "its grid and model are unchecked", file=sys.stderr)
@@ -229,32 +224,16 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
     model = cfg.model()
     grid = make_grid(cfg.grid_spec())
     scenario = cfg.scenario()
-    opts = cfg.vars()
-    scales, source = opts["scales"], "vars.scales"
-    if args.scales:
-        try:
-            parsed = [float(s) for s in args.scales.split(",")]
-        except ValueError:
-            raise ConfigError(f"--scales: not a comma-separated float list: {args.scales!r}")
-        scales, source = scale_fractions(parsed, "--scales"), "--scales"
+    opts = cfg.vars(args.scales)
     xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     x_model = x_first(model, xd)
     ell_grid = make_grid(GridSpec((x_dim,)))
     extent = x_dim.upper - x_dim.lower
-    for frac in scales:
-        # The last scale node must leave the first location a partner inside
-        # the grid: V(1 - 1/(2 v_count)) <= extent (1 - 1/(2 nx)).
-        if ell_grid.axes[0][0] + scale_nodes(frac * extent, opts["v_count"])[-1] > x_dim.upper:
-            limit = (1 - 1 / (2 * x_dim.count)) / (1 - 1 / (2 * opts["v_count"]))
-            raise ConfigError(
-                f"{source}: fraction {frac} leaves no location inside the grid at the "
-                f"last of {opts['v_count']} scale nodes on {x_dim.count} x nodes; "
-                f"the largest usable fraction is {math.floor(limit * 1e4) / 1e4}")
     alpha_ref = [0.0] * (model.arity - 1)
     results = {}
     gamma_rows = []
-    for frac in scales:
+    for frac in opts["scales"]:
         res = integrated_variogram(x_model, ell_grid, frac * extent,
                                    opts["v_count"], alpha_ref)
         results[f"scale_{frac}"] = {"V": res.V, "Gamma": res.Gamma,
@@ -297,31 +276,26 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:
 
 
 def _binning_from_csv(path):
-    from .engine import OutputBinning
-
+    """The binning whose bin centers are the first column of a heatmap CSV.
+    One center c is one bin, labelled c, that takes every sample."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    centers = np.array([float(r[0]) for r in rows[1:]])
-    if centers.size == 0:
-        raise VupropError(f"{path}: need at least one bin center to infer a binning")
-    if centers.size == 1:
-        # One bin takes every sample, whatever its range; its label is c.
-        return OutputBinning(1, float(centers[0]), float(centers[0]))
-    width = centers[1] - centers[0]
-    return OutputBinning(centers.size, float(centers[0] - width / 2),
-                         float(centers[-1] + width / 2))
+        rows = list(csv.reader(fh))[1:]
+    try:
+        c = [float(row[0]) for row in rows]
+        if not c:
+            raise GridError("need at least one bin center to infer a binning")
+        half = (c[1] - c[0]) / 2 if len(c) > 1 else 0.0
+        return OutputBinning(len(c), c[0] - half, c[-1] + half)
+    except (ValueError, IndexError, GridError) as exc:
+        raise VupropError(f"{path}: bin centers: {exc}") from None
 
 
 def cmd_bench(cfg: RunConfig, out_dir: Path, args) -> dict:
     model = cfg.model()
-    opts = cfg.bench()
+    opts = cfg.bench(args.n, args.l_values, args.k, args.reps)
     scenario = cfg.scenario()
-    n_values = [int(n) for n in args.n.split(",")] if args.n else opts["n_values"]
-    l_values = [int(l) for l in args.l_values.split(",")] if args.l_values else opts["l_values"]
-    k = args.k or opts["k"]
-    reps = args.reps or opts["reps"]
-    result = run_sweep(model, cfg.grid_spec(), n_values, l_values, scenario,
-                       k, reps, args.seed if args.seed is not None else cfg.seed)
+    result = run_sweep(model, cfg.grid_spec(), opts["n_values"], opts["l_values"], scenario,
+                       opts["k"], opts["reps"], cfg.seed)
     _write_rows(
         out_dir / "bench.csv",
         ["method", "N", "L", "reps", "median_s", "min_s", "max_s", "breakdown_json"],
@@ -364,30 +338,24 @@ def _parser() -> argparse.ArgumentParser:
     bench = sub.choices["bench"]
     bench.add_argument("--n", help="comma-separated grid sizes")
     bench.add_argument("--l-values", help="comma-separated location counts")
-    bench.add_argument("--k", type=int, help="output bin count")
-    bench.add_argument("--reps", type=int, help="timing repetitions")
-    bench.add_argument("--seed", type=int, help="override config seed")
+    bench.add_argument("--k", help="output bin count")
+    bench.add_argument("--reps", help="timing repetitions")
+    bench.add_argument("--seed", help="override config seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config)
+        cfg = RunConfig.load(args.config, getattr(args, "seed", None))
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         extra = _COMMANDS[args.command](cfg, out_dir, args)
         _manifest(out_dir, cfg, args.command, extra, t0)
-    except ConfigError as exc:
+    except (VupropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VupropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

@@ -2,53 +2,86 @@
 
 One YAML file drives every subcommand; sections are validated lazily so a
 config only needs the sections its subcommand uses. Validation errors carry
-the config path of the offending key.
+the config path of the offending key. A CLI flag that replaces a key is
+read from its text by the key's reader, and its errors name the flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
+from .bench import Thresholds
 from .distributions import MeasurementScenario
 from .errors import ConfigError, GridError, ExpressionError, EvaluationError
 from .grid import Dim, GridSpec
 from .models import ModelFunction, builtin, parse_expression
+from .variogram import scale_nodes
 
 
-def _require(mapping, key, path, kind=None):
+# libyaml's parser when PyYAML was built with it, same result.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _name(path, key) -> str:  # path.key, path[i] for a list item, key at the top level
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else str(key)
+
+
+def _require(mapping, key, path, kind=None, default=None):
+    """mapping[key], or `default` when the key is absent and one is given."""
     if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{path}.{key}: required key missing")
+        if default is not None:
+            return default
+        raise ConfigError(f"{_name(path, key)}: required key missing")
     value = mapping[key]
     if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+        raise ConfigError(f"{_name(path, key)}: expected a {kind.__name__}, got {value!r}")
     return value
 
 
-def _number(mapping, key, path, default=None):
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required key missing")
-    value = mapping[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+def _is_number(value) -> bool:  # a YAML bool is an int to Python, but not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(mapping, key, path, default=None) -> float:
+    value = _require(mapping, key, path, default=default)
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):  # fails for nan, inf, 10**400
+        raise ConfigError(f"{_name(path, key)}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def scale_fractions(scales, path) -> list[float]:
-    """The variogram scales as floats: a non-empty list of fractions of the
-    x extent, each in (0, 1]. `path` names where they came from."""
-    if not isinstance(scales, list) or not scales:
-        raise ConfigError(f"{path}: expected a non-empty list of domain fractions")
-    for s in scales:
-        # A YAML bool is an int to Python; `true` is not the fraction 1.
-        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s <= 1:
-            raise ConfigError(f"{path}: fractions must be in (0, 1], got {s!r}")
-    return [float(s) for s in scales]
+def _integer(mapping, key, path, default=None, least=1) -> int:
+    value = _require(mapping, key, path, default=default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{_name(path, key)}: expected an integer >= {least}, got {value!r}")
+    return value
+
+
+def _items(mapping, key, path, read, default=None) -> list:
+    """A non-empty list, each item read by `read` and named by its index."""
+    values = _require(mapping, key, path, default=default)
+    name = _name(path, key)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{name}: expected a non-empty list, got {values!r}")
+    items = dict(enumerate(values))
+    return [read(items, i, name) for i in items]
+
+
+def _flag(section, key, path, flag, text, split=False):
+    """Where `key` is read from: the section, or the text of the CLI flag that
+    replaces it, parsed as YAML (a flow list of its comma-separated items when
+    `split`). The key's reader then checks the flag as the key, by its name."""
+    if text is None:
+        return section, key, path
+    try:
+        value = yaml.load(f"[{text}]" if split else text, Loader=_LOADER)
+    except yaml.YAMLError:
+        raise ConfigError(f"{flag}: not a YAML {'list' if split else 'value'}: {text!r}") from None
+    return {flag: value}, flag, ""
 
 
 @dataclass
@@ -61,21 +94,19 @@ class RunConfig:
     _scenario: MeasurementScenario | None = field(default=None, repr=False)
 
     @classmethod
-    def load(cls, path) -> "RunConfig":
+    def load(cls, path, seed=None) -> "RunConfig":
+        """The config at path; `seed` is the text of a --seed flag, which
+        replaces the config's seed."""
         try:
             with open(path) as fh:
-                # libyaml's parser when PyYAML was built with it, same result.
-                raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+                raw = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed: expected an integer")
-        return cls(raw, seed)
+        return cls(raw, _integer(*_flag(raw, "seed", "", "--seed", seed), default=0, least=0))
 
     # --- model ---------------------------------------------------------------
 
@@ -89,9 +120,8 @@ class RunConfig:
             except EvaluationError as exc:
                 raise ConfigError(f"model.builtin: {exc}") from None
         elif "expression" in section:
-            variables = section.get("variables")
-            if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-                raise ConfigError("model.variables: expected a list of variable names")
+            variables = _items(section, "variables", "model",
+                               lambda items, i, name: _require(items, i, name, str))
             try:
                 self._model = parse_expression(section["expression"], variables)
             except ExpressionError as exc:
@@ -108,21 +138,15 @@ class RunConfig:
         section = _require(self.raw, "scenario", "", dict)
         locs = _require(section, "locations", "scenario")
         if isinstance(locs, dict):
-            start = _number(locs, "start", "scenario.locations")
-            stop = _number(locs, "stop", "scenario.locations")
-            num = locs.get("num")
-            if not isinstance(num, int) or num < 1:
-                raise ConfigError("scenario.locations.num: expected a positive integer")
-            locations = np.linspace(start, stop, num)
+            path = "scenario.locations"
+            locations = np.linspace(_number(locs, "start", path), _number(locs, "stop", path),
+                                    _integer(locs, "num", path))
         elif isinstance(locs, list):
-            locations = np.asarray(locs, dtype=float)
+            locations = np.array(_items(section, "locations", "scenario", _number))
         else:
             raise ConfigError("scenario.locations: expected a list or {start, stop, num}")
-        weights = section.get("weights")
-        if weights is not None:
-            if not isinstance(weights, list):
-                raise ConfigError("scenario.weights: expected a list or null")
-            weights = np.asarray(weights, dtype=float)
+        weights = (None if section.get("weights") is None
+                   else np.array(_items(section, "weights", "scenario", _number)))
         try:
             self._scenario = MeasurementScenario(
                 locations,
@@ -144,102 +168,101 @@ class RunConfig:
         x spans the locations widened by 4 sigma_ell, alpha spans +-4 sigma_alpha."""
         section = self.raw.get("grid")
         if section is not None:
-            dims_raw = _require(section, "dims", "grid", list)
-            dims = []
-            for i, d in enumerate(dims_raw):
-                path = f"grid.dims[{i}]"
-                if not isinstance(d, dict):
-                    raise ConfigError(f"{path}: expected a mapping")
+            def dim(items, i, name):
+                d, path = _require(items, i, name, dict), _name(name, i)
                 try:
-                    dims.append(Dim(
-                        _require(d, "name", path, str),
-                        _number(d, "lower", path),
-                        _number(d, "upper", path),
-                        _require(d, "count", path, int),
-                        d.get("role", "x"),
-                    ))
+                    return Dim(_require(d, "name", path, str), _number(d, "lower", path),
+                               _number(d, "upper", path), _integer(d, "count", path),
+                               d.get("role", "x"))
                 except GridError as exc:
                     raise ConfigError(f"{path}: {exc}") from None
+
             try:
-                return GridSpec(tuple(dims))
+                return GridSpec(tuple(_items(section, "dims", "grid", dim)))
             except GridError as exc:
                 raise ConfigError(f"grid: {exc}") from None
         scenario = self.scenario()
         lo = float(scenario.locations.min()) - 4 * scenario.sigma_ell
         hi = float(scenario.locations.max()) + 4 * scenario.sigma_ell
         a = 4 * scenario.sigma_alpha
-        return GridSpec((
-            Dim("x", lo, hi, self.DEFAULT_X_COUNT, "x"),
-            Dim("alpha", -a, a, self.DEFAULT_ALPHA_COUNT, "alpha"),
-        ))
+        return GridSpec((Dim("x", lo, hi, self.DEFAULT_X_COUNT, "x"),
+                         Dim("alpha", -a, a, self.DEFAULT_ALPHA_COUNT, "alpha")))
 
     # --- output --------------------------------------------------------------
 
     def output(self) -> dict:
-        section = self.raw.get("output", {})
-        if not isinstance(section, dict):
-            raise ConfigError("output: expected a mapping")
-        k = section.get("k", 500)
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("output.k: expected a positive integer")
+        section = _require(self.raw, "output", "", dict, {})
+        k = _integer(section, "k", "output", default=500)
         level = _number(section, "level", "output", default=0.9)
         if not 0.0 < level < 1.0:
             raise ConfigError(f"output.level: must be in (0, 1), got {level}")
         reference = section.get("deviation_reference", "mode")
         if reference not in ("mode", "alpha-matched"):
-            raise ConfigError(
-                f"output.deviation_reference: expected 'mode' or 'alpha-matched', got {reference!r}"
-            )
-        shared = section.get("shared_matrix", True)
-        if not isinstance(shared, bool):
-            raise ConfigError("output.shared_matrix: expected a boolean")
+            raise ConfigError("output.deviation_reference: expected 'mode' or "
+                              f"'alpha-matched', got {reference!r}")
         return {"k": k, "level": level, "deviation_reference": reference,
-                "shared_matrix": shared}
+                "shared_matrix": _require(section, "shared_matrix", "output", bool, True)}
 
     # --- mc ------------------------------------------------------------------
 
     def mc(self) -> dict:
-        section = self.raw.get("mc", {})
-        if not isinstance(section, dict):
-            raise ConfigError("mc: expected a mapping")
-        n = section.get("n_samples", 100_000)
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("mc.n_samples: expected a positive integer")
-        return {"n_samples": n}
+        return {"n_samples": _integer(_require(self.raw, "mc", "", dict, {}), "n_samples", "mc",
+                                      default=100_000)}
 
     # --- vars ----------------------------------------------------------------
 
-    def vars(self) -> dict:
-        section = self.raw.get("vars", {})
-        if not isinstance(section, dict):
-            raise ConfigError("vars: expected a mapping")
-        scales = scale_fractions(section.get("scales", [0.1, 0.3, 0.5]), "vars.scales")
-        v_count = section.get("v_count", 200)
-        if not isinstance(v_count, int) or v_count < 1:
-            raise ConfigError("vars.v_count: expected a positive integer")
+    def vars(self, scales=None) -> dict:
+        """Scales are fractions f of the x extent in (0, 1] whose last scale node
+        leaves the first x node a partner in the grid: f (1 - 1/(2 v_count))
+        <= 1 - 1/(2 nx). `scales` is the text of --scales, replacing vars.scales."""
+        section = _require(self.raw, "vars", "", dict, {})
+        v_count = _integer(section, "v_count", "vars", default=200)
+        spec = self.grid_spec()
+        x_dim = spec.dims[spec.x_index()]
+
+        def fraction(items, i, name):
+            f = items[i]
+            if not (_is_number(f) and 0 < f <= 1):
+                raise ConfigError(f"{name}: fractions must be in (0, 1], got {f!r}")
+            extent = x_dim.upper - x_dim.lower
+            if x_dim.nodes()[0] + scale_nodes(f * extent, v_count)[-1] > x_dim.upper:
+                limit = (1 - 1 / (2 * x_dim.count)) / (1 - 1 / (2 * v_count))
+                raise ConfigError(
+                    f"{name}: fraction {float(f)} leaves no location inside the grid at "
+                    f"the last of {v_count} scale nodes on {x_dim.count} x nodes; "
+                    f"the largest usable fraction is {math.floor(limit * 1e4) / 1e4}")
+            return float(f)
+
+        scales = _items(*_flag(section, "scales", "vars", "--scales", scales, split=True),
+                        fraction, default=[0.1, 0.3, 0.5])
         return {"scales": scales, "v_count": v_count}
 
     # --- bench ---------------------------------------------------------------
 
-    def bench(self) -> dict:
-        section = self.raw.get("bench", {})
-        if not isinstance(section, dict):
-            raise ConfigError("bench: expected a mapping")
-        n_values = section.get("n_values", [100_000])
-        l_values = section.get("l_values", [1, 2, 5, 10, 20, 100])
-        for key, values in (("n_values", n_values), ("l_values", l_values)):
-            if not isinstance(values, list) or not all(
-                isinstance(v, int) and v >= 1 for v in values
-            ):
-                raise ConfigError(f"bench.{key}: expected a list of positive integers")
-        k = section.get("k", 500)
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("bench.k: expected a positive integer")
-        reps = section.get("reps", 3)
-        if not isinstance(reps, int) or reps < 3:
-            raise ConfigError("bench.reps: expected an integer >= 3")
-        thresholds = section.get("thresholds", {})
-        if not isinstance(thresholds, dict):
-            raise ConfigError("bench.thresholds: expected a mapping")
-        return {"n_values": n_values, "l_values": l_values, "k": k, "reps": reps,
-                "thresholds": thresholds}
+    def bench(self, n=None, l_values=None, k=None, reps=None) -> dict:
+        """Each argument is the text of the flag (--n, --l-values, --k, --reps)
+        replacing its key. The complexity checks need L = 1 and L = ratio_L."""
+        section = _require(self.raw, "bench", "", dict, {})
+        thresholds = _require(section, "thresholds", "bench", dict, {})
+        defaults = {f.name: f.default for f in fields(Thresholds)}
+        for key in thresholds:
+            if key not in defaults:
+                raise ConfigError(f"bench.thresholds.{key}: not a threshold; "
+                                  f"expected one of {', '.join(defaults)}")
+        thresholds = {key: (_integer if isinstance(defaults[key], int) else _number)(
+                      thresholds, key, "bench.thresholds") for key in thresholds}
+        l_map, l_key, l_path = _flag(section, "l_values", "bench", "--l-values", l_values,
+                                     split=True)
+        opts = {
+            "n_values": _items(*_flag(section, "n_values", "bench", "--n", n, split=True),
+                               _integer, default=[100_000]),
+            "l_values": _items(l_map, l_key, l_path, _integer, default=[1, 2, 5, 10, 20, 100]),
+            "k": _integer(*_flag(section, "k", "bench", "--k", k), default=500),
+            "reps": _integer(*_flag(section, "reps", "bench", "--reps", reps), default=3, least=3),
+            "thresholds": thresholds,
+        }
+        ratio_L = thresholds.get("ratio_L", Thresholds.ratio_L)
+        if not {1, ratio_L} <= set(opts["l_values"]):
+            raise ConfigError(f"{_name(l_path, l_key)}: the complexity checks need L = 1 and "
+                              f"L = {ratio_L} (bench.thresholds.ratio_L), got {opts['l_values']}")
+        return opts

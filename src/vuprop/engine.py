@@ -12,6 +12,7 @@ A measurement scenario needs no per-column pass over the grid:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -40,6 +41,13 @@ class OutputBinning:
     y_min: float
     y_max: float
 
+    def __post_init__(self):
+        K, lo, hi = self.K, self.y_min, self.y_max
+        if not (isinstance(K, (int, np.integer)) and not isinstance(K, bool) and K >= 1
+                and math.isfinite(lo) and math.isfinite(hi) and (lo < hi or lo == hi and K == 1)):
+            raise GridError(f"output binning needs an integer K >= 1 and finite y_min <= y_max "
+                            f"(one bin when equal), got K = {K!r} on [{lo!r}, {hi!r}]")
+
     @classmethod
     def spanning(cls, K: int, y_min: float, y_max: float) -> "OutputBinning":
         """K bins over [y_min, y_max]; a constant range collapses to one bin."""
@@ -53,15 +61,11 @@ class OutputBinning:
 
     @property
     def centers(self) -> np.ndarray:
-        if self.y_max == self.y_min:
-            return np.array([self.y_min])
         b = (self.y_max - self.y_min) / self.K
         return self.y_min + (np.arange(self.K) + 0.5) * b
 
     @property
     def edges(self) -> np.ndarray:
-        if self.y_max == self.y_min:
-            return np.array([self.y_min, self.y_min])
         return np.linspace(self.y_min, self.y_max, self.K + 1)
 
     def assign(self, y: np.ndarray) -> np.ndarray:
@@ -70,7 +74,7 @@ class OutputBinning:
         The values must be finite; both callers check. Clamped before the
         integer cast, so a huge finite value lands in the end bin nearest it."""
         y = np.asarray(y, float)
-        if self.K == 1 or self.y_max == self.y_min:
+        if self.K == 1:
             return np.zeros(y.shape, dtype=np.int64)
         b = (self.y_max - self.y_min) / self.K
         with np.errstate(over="ignore"):  # an infinite quotient clamps like any other
@@ -299,12 +303,16 @@ def load_matrix(path, grid: Grid | None = None, model_name: str = "") -> SparseM
     body = blob[40:]
     if len(body) != 4 * n:
         raise SidecarFormatError(f"{path}: expected {4 * n} index bytes, got {len(body)}")
+    try:
+        binning = OutputBinning(int(k), y_min, y_max)
+    except GridError as exc:
+        raise SidecarFormatError(f"{path}: {exc}") from None
     bin_of = np.frombuffer(body, dtype="<u4").astype(np.int64)
     if bin_of.size and bin_of.max() >= k:
         raise SidecarFormatError(f"{path}: bin index out of range")
     if grid is not None and grid.size != n:
         raise SidecarFormatError(f"{path}: matrix N = {n} does not match grid size {grid.size}")
-    return SparseModelMatrix(bin_of, OutputBinning(int(k), y_min, y_max), grid, model_name)
+    return SparseModelMatrix(bin_of, binning, grid, model_name)
 
 
 def matrix_manifest(matrix: SparseModelMatrix, extra: dict | None = None) -> dict:

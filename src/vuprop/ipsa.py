@@ -21,7 +21,7 @@ from .engine import (
     propagate,
     propagate_scenario,
 )
-from .errors import GridError
+from .errors import EvaluationError, GridError
 from .grid import Dim, Grid, GridSpec, make_grid
 from .models import ModelFunction, _eval_broadcast, eval_at_locations, eval_shifted
 
@@ -131,11 +131,17 @@ def reference_curve(model: ModelFunction, locations, alpha_ref=None) -> np.ndarr
 
     Zero is the mode of the centered alpha-Gaussian, matching the
     maximum-input-probability reference convention. The location is the
-    model's first input (`models.x_first` moves the grid's x there).
+    model's first input (`models.x_first` moves the grid's x there). A
+    non-finite reference is an EvaluationError naming its location.
     """
     locations = np.atleast_1d(np.asarray(locations, float))
     alpha = np.zeros(model.arity - 1) if alpha_ref is None else alpha_ref
-    return np.array(eval_at_locations(model, locations, alpha))
+    y_ref = np.array(eval_at_locations(model, locations, alpha))
+    bad = np.flatnonzero(~np.isfinite(y_ref))
+    if bad.size:
+        raise EvaluationError(f"model {model.name!r} is {y_ref[bad[0]]} "
+                              f"at location {locations[bad[0]]}")
+    return y_ref
 
 
 def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:

@@ -92,14 +92,12 @@ def draw_samples(sampler: SamplerSpec, n: int, seed) -> np.ndarray:
     nd = sampler.ndim
     if sampler.kind == "delta":
         return np.tile(sampler.point, (n, 1))
+    lo = np.array([b[0] for b in sampler.bounds])
+    hi = np.array([b[1] for b in sampler.bounds])
     if sampler.kind == "uniform":
-        lo = np.array([b[0] for b in sampler.bounds])
-        hi = np.array([b[1] for b in sampler.bounds])
         return rng.uniform(lo, hi, size=(n, nd))
     if sampler.kind != "gaussian":
         raise GridError(f"unknown sampler kind {sampler.kind!r}")
-    lo = np.array([b[0] for b in sampler.bounds])
-    hi = np.array([b[1] for b in sampler.bounds])
     chunks = []
     n_accepted = 0
     proposed = 0
@@ -169,9 +167,7 @@ def mc_propagate_many(
     A fixed binning is required so the columns share one output axis.
     """
     if cfg.binning is None:
-        raise GridError(
-            "mc_propagate_many needs a fixed OutputBinning so columns share one axis"
-        )
+        raise GridError("mc_propagate_many needs a fixed OutputBinning so columns share one axis")
     xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
     out = np.empty((cfg.binning.K, scenario.n_locations))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,9 +37,8 @@ class ModelFunction:
 
     def __call__(self, *args):
         if len(args) != self.arity:
-            raise EvaluationError(
-                f"model {self.name!r} takes {self.arity} inputs, got {len(args)}"
-            )
+            raise EvaluationError(f"model {self.name!r} takes {self.arity} inputs, "
+                                  f"got {len(args)}")
         scalar = all(np.ndim(a) == 0 for a in args)
         # np.float64 arithmetic turns division-by-zero into inf (caught below)
         # instead of a raw ZeroDivisionError.
@@ -129,17 +129,11 @@ def eval_ast(node: Node, args: Sequence) -> np.ndarray:
         if node.op == "neg":
             return -v
         return _FUNCTIONS[node.op](v)
-    l = eval_ast(node.left, args)
-    r = eval_ast(node.right, args)
-    if node.op == "+":
-        return l + r
-    if node.op == "-":
-        return l - r
-    if node.op == "*":
-        return l * r
-    if node.op == "/":
-        return l / r
-    return l ** r
+    return _BINARY[node.op](eval_ast(node.left, args), eval_ast(node.right, args))
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
 
 
 def pretty(node: Node) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import MeasurementScenario, scenario_factors
-from .errors import GridError
+from .errors import EvaluationError, GridError
 from .grid import Grid
 from .models import ModelFunction, eval_at_locations, eval_shifted
 
@@ -122,12 +122,21 @@ def _row_fsums(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 def _gammas(model, ell_grid: Grid, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
     """gamma at every scale: half the fsum-exact mean of each row of squared
-    differences over its valid locations."""
+    differences over its valid locations; a non-finite row is an error
+    (pairs beyond the grid are evaluated too, but masked out)."""
     if np.any(v_nodes < 0):
         raise GridError(f"scale v must be >= 0, got {v_nodes.min()}")
     valid, counts = _valid_pairs(ell_grid, v_nodes)
     sq = _square_diffs(model, _ell_axis(ell_grid), v_nodes, alpha_ref)
-    return _row_fsums(sq, valid) / (2.0 * counts)
+    try:
+        sums = _row_fsums(sq, valid)
+    except OverflowError:  # a row's exact sum is beyond the float range
+        raise EvaluationError(f"model {model.name!r}: squared differences overflow") from None
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise EvaluationError(f"model {model.name!r}: squared differences at scale "
+                              f"v = {v_nodes[bad[0]]} sum to {sums[bad[0]]}")
+    return sums / (2.0 * counts)
 
 
 def variogram(model: ModelFunction, ell_grid: Grid, v: float, alpha_ref=None) -> float:

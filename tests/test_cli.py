@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from vuprop import grid as grid_module
 from vuprop.cli import _write_heatmap, _write_output_and_ipsa, main
@@ -519,3 +520,152 @@ def test_vars_scales_reject_yaml_bools(tmp_path, capsys):
     other = _expression_config(tmp_path, "bool.yaml", "x + a", "vars:\n  scales: [true]\n")
     assert main(["vars", "--config", str(other), "--out-dir", str(tmp_path / "out")]) == 2
     assert "vars.scales: fractions must be in (0, 1], got True" in capsys.readouterr().err
+
+
+# --- every run setting through one reader -------------------------------------
+
+def _run_with(tmp_path, command, path, value, extra=()):
+    """main(command) on CONFIG with the key at `path` set to value."""
+    raw = yaml.safe_load(CONFIG)
+    raw["bench"] = {"n_values": [400], "l_values": [1, 4], "reps": 3, "thresholds": {"ratio_L": 4}}
+    raw["vars"] = {"scales": [0.5], "v_count": 20}
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    return main([command, "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                 *extra])
+
+
+_INTEGER_KEYS = [
+    # (command, where the value goes, the name its errors carry, least value)
+    ("propagate", ("seed",), "seed", 0),
+    ("propagate", ("scenario", "locations"), "scenario.locations.num", 1),
+    ("propagate", ("grid", "dims", 1, "count"), "grid.dims[1].count", 1),
+    ("propagate", ("output", "k"), "output.k", 1),
+    ("mc", ("mc", "n_samples"), "mc.n_samples", 1),
+    ("vars", ("vars", "v_count"), "vars.v_count", 1),
+    ("bench", ("bench", "n_values"), "bench.n_values[0]", 1),
+    ("bench", ("bench", "l_values"), "bench.l_values[1]", 1),
+    ("bench", ("bench", "k"), "bench.k", 1),
+    ("bench", ("bench", "reps"), "bench.reps", 3),
+    ("bench", ("bench", "thresholds", "ratio_L"), "bench.thresholds.ratio_L", 1),
+    ("bench", ("bench", "thresholds", "crossover_max"), "bench.thresholds.crossover_max", 1),
+]
+
+
+@pytest.mark.parametrize("command, path, name, least, bad", [
+    (*key, bad) for key in _INTEGER_KEYS for bad in [True, False, 0, -1, 1.5, "x", None]
+    if not (key[2] == "seed" and type(bad) is int and bad == 0)  # seed 0 is valid
+])
+def test_integer_keys_reject_bools_and_non_integers(tmp_path, capsys, command, path, name,
+                                                    least, bad):
+    # A list key gets the value as one of its items, a location range as its num.
+    value = {"n_values": [bad], "l_values": [1, bad]}.get(path[-1], bad)
+    if path[-1] == "locations":
+        value = {"start": -1, "stop": 1, "num": bad}
+    assert _run_with(tmp_path, command, path, value) == 2
+    assert f"error: {name}: expected an integer >= {least}" in capsys.readouterr().err
+
+
+_FLAGS = [
+    ("vars", "--scales", ["abc", "0.5,x", "true", "", "1,]"]),
+    ("bench", "--n", ["abc", "0", "-5", "1.5", "true", "400,x", ""]),
+    ("bench", "--l-values", ["1,x", "0,4", "1,true", "1,4]"]),
+    ("bench", "--k", ["abc", "0", "-3", "1.5", "true"]),
+    ("bench", "--reps", ["abc", "0", "2", "true"]),
+    ("bench", "--seed", ["abc", "-1", "1.5", "true"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, text",
+                         [(c, f, t) for c, f, texts in _FLAGS for t in texts])
+def test_malformed_overrides_are_config_errors_naming_the_flag(tmp_path, capsys, command,
+                                                               flag, text):
+    assert _run_with(tmp_path, command, ("seed",), 7, [f"{flag}={text}"]) == 2
+    err = capsys.readouterr().err  # a list flag's item is named by its index: --n[0]
+    assert err.startswith(f"error: {flag}: ") or err.startswith(f"error: {flag}[")
+
+
+@pytest.mark.parametrize("command, path, value, name", [
+    ("propagate", ("scenario", "locations"), ["a"], "scenario.locations[0]"),
+    ("propagate", ("scenario", "locations"), [-1.0, True, 1.0], "scenario.locations[1]"),
+    ("propagate", ("scenario", "weights"), [0.5, "x", 0.5], "scenario.weights[1]"),
+    ("propagate", ("scenario", "weights"), [True, 0.0, 0.0], "scenario.weights[0]"),
+    # A nan location propagated into a nan column, an infinite sigma_ell into
+    # one uniform column per location, and a nan weight passed the sum check.
+    ("propagate", ("scenario", "locations"), [-1.0, math.nan, 1.0], "scenario.locations[1]"),
+    ("propagate", ("scenario", "sigma_ell"), math.inf, "scenario.sigma_ell"),
+    ("propagate", ("scenario", "weights"), [0.5, math.nan, 0.5], "scenario.weights[1]"),
+    ("vars", ("vars", "scales"), [0.5, "x"], "vars.scales"),
+    ("bench", ("bench", "thresholds"), {"foo": 1}, "bench.thresholds.foo"),
+    ("bench", ("bench", "thresholds"), {"vup_ratio_max": "x"}, "bench.thresholds.vup_ratio_max"),
+    # The complexity checks compare L = 1 with L = ratio_L (100 by default).
+    ("bench", ("bench", "thresholds"), {}, "bench.l_values"),
+    ("bench", ("bench", "l_values"), [2, 4], "bench.l_values"),
+])
+def test_malformed_settings_are_config_errors_naming_the_key(tmp_path, capsys, command,
+                                                             path, value, name):
+    assert _run_with(tmp_path, command, path, value) == 2
+    assert f"error: {name}: " in capsys.readouterr().err
+
+
+def test_l_values_without_ratio_L_fail_before_the_sweep(tmp_path, capsys, monkeypatch):
+    import vuprop.cli
+
+    monkeypatch.setattr(vuprop.cli, "run_sweep", lambda *a, **k: pytest.fail("swept"))
+    assert _run_with(tmp_path, "bench", ("seed",), 7, ["--l-values", "1,2"]) == 2
+    assert "--l-values: the complexity checks need L = 1 and L = 4" in capsys.readouterr().err
+
+
+def test_ipsa_reference_at_a_pole_is_a_runtime_error(tmp_path, capsys):
+    # 1/x is finite on every grid node (none is 0) but not at the location 0.
+    config = _expression_config(tmp_path, "pole.yaml", "1/x + a")
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "at location 0.0" in capsys.readouterr().err
+
+
+def test_vars_with_infinite_squared_differences_is_a_runtime_error(tmp_path, capsys):
+    # The x node 3.95 is a pole: gamma rows holding it are inf.
+    config = _expression_config(tmp_path, "pole.yaml", "1/(x - 3.95) + a")
+    out = tmp_path / "out"
+    assert main(["vars", "--config", str(config), "--out-dir", str(out)]) == 1
+    assert "squared differences at scale v = " in capsys.readouterr().err
+    assert not (out / "gamma.csv").exists()
+
+
+def test_vars_ignores_nan_beyond_the_grid(tmp_path):
+    # sqrt(4.05 - x) is nan only for x > 4.05, at pairs ell + v beyond the
+    # grid that the quadrature evaluates but masks out.
+    config = _expression_config(tmp_path, "sqrt.yaml", "sqrt(4.05 - x) + a")
+    out = tmp_path / "out"
+    assert main(["vars", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert np.isfinite(_read_numbers(out / "gamma.csv")).all()
+
+
+def test_propagate_rejects_a_sidecar_with_a_swapped_range(config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["build-matrix", "--config", str(config), "--out-dir", str(out)]) == 0
+    sidecar = out / "model_matrix.vupm"
+    blob = sidecar.read_bytes()
+    sidecar.write_bytes(blob[:24] + blob[32:40] + blob[24:32] + blob[40:])
+    assert main(["propagate", "--config", str(config), "--out-dir", str(out),
+                 "--matrix", str(sidecar)]) == 1
+    assert f"error: {sidecar}: output binning needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("centers", [["abc", "1.0"], ["nan"], ["0.5", "nan"], ["2.0", "1.0"],
+                                     []])
+def test_mc_fixed_binning_from_a_bad_csv_names_the_file(config, tmp_path, capsys, centers):
+    csv_path = tmp_path / "bins.csv"
+    csv_path.write_text(",-1.0,0.0,1.0\r\n" + "".join(f"{c},0.5,0.5,0.5\r\n" for c in centers))
+    assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                 "--fixed-binning-from", str(csv_path)]) == 1
+    assert f"error: {csv_path}: bin centers: " in capsys.readouterr().err
+
+
+def test_bench_seed_flag_is_the_seed_the_manifest_records(tmp_path):
+    assert _run_with(tmp_path, "bench", ("seed",), 7, ["--seed", "5"]) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 5

@@ -147,3 +147,21 @@ flags: {on: true, off: false, nothing: null}
     raw = RunConfig.load(path).raw
     assert raw == pure
     assert repr(raw) == repr(pure)  # same types too: int stays int, float stays float
+
+
+def test_flag_text_is_read_by_its_key_reader_without_touching_raw(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(BASE + "bench:\n  thresholds: {ratio_L: 4}\n")
+    cfg = RunConfig.load(path, seed="5")
+    raw = yaml.safe_dump(cfg.raw)
+    assert cfg.seed == 5
+    bench = cfg.bench(n="400", l_values="1, 4", k="10", reps="3")
+    assert (bench["n_values"], bench["l_values"], bench["k"], bench["reps"]) == ([400], [1, 4],
+                                                                                 10, 3)
+    assert cfg.vars(scales="0.2,0.4")["scales"] == [0.2, 0.4]
+    assert yaml.safe_dump(cfg.raw) == raw
+    for call, name in [(lambda: cfg.bench(k="0"), "--k"),
+                       (lambda: cfg.bench(n="1,true"), r"--n\[1\]"),
+                       (lambda: cfg.vars(scales="2"), "--scales")]:
+        with pytest.raises(ConfigError, match=name):
+            call()

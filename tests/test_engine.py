@@ -393,3 +393,32 @@ def test_sidecar_grid_size_mismatch(tmp_path):
 def test_output_binning_spanning_collapses_a_constant_range():
     assert OutputBinning.spanning(10, 2.0, 2.0) == OutputBinning(1, 2.0, 2.0)
     assert OutputBinning.spanning(10, -1.0, 2.0) == OutputBinning(10, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("K, y_min, y_max", [
+    (0, 0.0, 1.0), (True, 0.0, 1.0), (2.0, 0.0, 1.0),  # K is an integer >= 1
+    (3, 1.0, 0.0),  # y_min <= y_max
+    (3, 1.0, 1.0),  # a constant range is one bin
+    (1, math.nan, math.nan), (2, 0.0, math.inf), (2, -math.inf, 0.0),  # finite
+])
+def test_output_binning_checks_its_invariant(K, y_min, y_max):
+    with pytest.raises(GridError, match="output binning needs"):
+        OutputBinning(K, y_min, y_max)
+
+
+def test_one_bin_over_a_constant_range():
+    b = OutputBinning(1, 2.0, 2.0)
+    assert b.centers.tolist() == [2.0]
+    assert b.edges.tolist() == [2.0, 2.0]
+    assert b.width == 1.0
+    assert b.assign(np.array([1.0, 2.0, 3.0])).tolist() == [0, 0, 0]
+
+
+def test_sidecar_with_a_swapped_range_is_rejected(tmp_path):
+    g = _grid(count=10)
+    path = tmp_path / "t.vupm"
+    save_matrix(path, matrix_from_model(parse_expression("x", ["x"]), g, 4))
+    blob = path.read_bytes()  # y_min, y_max are the f64s at bytes 24 and 32
+    path.write_bytes(blob[:24] + blob[32:40] + blob[24:32] + blob[40:])
+    with pytest.raises(SidecarFormatError, match="y_min <= y_max"):
+        load_matrix(path, grid=g)
