@@ -67,8 +67,8 @@ def _joined(table):
 
 def _write_output_and_ipsa(out_dir, out, ipsa):
     """output_matrix.csv and ipsa_matrix.csv, the bytes _write_heatmap writes.
-    Every nonzero cell of a pure-shift ipsa column is a cell of the output
-    matrix, so each probability is formatted once for both files."""
+    Every ipsa column is its output column moved down whole rows, so each
+    probability is formatted once for both files."""
     table = repr_table(out.values)
     _write_heatmap_rows(out_dir / "output_matrix.csv", out.locations, out.binning.centers,
                         _joined(table))
@@ -80,22 +80,18 @@ _GATHER_CELLS = 1 << 14  # cells of ipsa_matrix.csv gathered at a time
 
 
 def _ipsa_bodies(table, ipsa):
-    """Rows of ipsa_matrix.csv gathered from the output matrix's repr table.
-
-    A pure-shift column i holds output bin k on row row_offset[i] + k and 0.0
-    elsewhere (`ipsa.to_deviations` decides which columns are). The others
-    are formatted from ipsa.values. Rows are gathered in blocks of about
+    """Rows of ipsa_matrix.csv gathered from the output matrix's repr table:
+    column i holds output bin k on row row_offset[i] + k and 0.0 elsewhere
+    (`ipsa.to_deviations`). Rows are gathered in blocks of about
     _GATHER_CELLS cells, one fancy index per block."""
     K, L = table.shape
     n_rows = ipsa.values.shape[0]
     cols = np.arange(L)
-    own = np.flatnonzero(ipsa.row_offset < 0)
     step = max(1, _GATHER_CELLS // L)
     for j0 in range(0, n_rows, step):
         src = np.arange(j0, min(j0 + step, n_rows))[:, None] - ipsa.row_offset
         block = table[src.clip(0, K - 1), cols]
         block[(src < 0) | (src >= K)] = b"0.0"
-        block[:, own] = repr_table(ipsa.values[j0:j0 + step, own])
         yield from _joined(block)
 
 
@@ -277,7 +273,9 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:
 
 def _binning_from_csv(path):
     """The binning whose bin centers are the first column of a heatmap CSV.
-    One center c is one bin, labelled c, that takes every sample."""
+    The first two centers set its width; every center must lie within a
+    millionth of a bin width of its place on the axis. One center c is one
+    bin, labelled c, that takes every sample."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     try:
@@ -285,7 +283,12 @@ def _binning_from_csv(path):
         if not c:
             raise GridError("need at least one bin center to infer a binning")
         half = (c[1] - c[0]) / 2 if len(c) > 1 else 0.0
-        return OutputBinning(len(c), c[0] - half, c[-1] + half)
+        binning = OutputBinning(len(c), c[0] - half, c[-1] + half)
+        off = np.abs(binning.centers - c)
+        if not (off <= 1e-6 * binning.width).all():
+            raise GridError(f"{c[int(np.argmax(off))]!r} is off the evenly spaced axis "
+                            f"from {c[0]!r} to {c[-1]!r}")
+        return binning
     except (ValueError, IndexError, GridError) as exc:
         raise VupropError(f"{path}: bin centers: {exc}") from None
 

@@ -18,8 +18,9 @@ last removed digit is >= 5 or vr sits on the excluded lower bound.
 
 That rounding is exact only when none of vr, vp, vm is an integer before the
 floor: q >= 2 and mv = 4*m2 not divisible by 2^q (vp and vm have at most one
-trailing zero bit, so they then never are). Every other value - +-0.0, inf,
-nan, |x| >= 2^54, q <= 1, and mv divisible by 2^q, which are Ryu's
+trailing zero bit, so they then never are). Zeros, common in probability
+tables, are written as the fixed bytes `0.0` and `-0.0`. Every other value -
+inf, nan, |x| >= 2^54, q <= 1, and mv divisible by 2^q, which are Ryu's
 trailing-zero cases and take in every |x| >= 2^49 (q <= 2) - is formatted by
 `repr` itself, so the output never rests on an unproven case.
 
@@ -185,6 +186,8 @@ def repr_table(values) -> np.ndarray:
         out = flat_out[start:start + BLOCK]
         fast, digits, exp10 = _shortest(x)
         out[:] = _layout(np.signbit(x), digits, exp10)
-        for j in np.flatnonzero(~fast):
+        zero = x == 0
+        out[zero] = np.where(np.signbit(x[zero]), b"-0.0", b"0.0")
+        for j in np.flatnonzero(~fast & ~zero):
             out[j] = repr(float(x[j]))
     return table

@@ -35,12 +35,7 @@ class IpsaMatrix:
     bin_width: float
     y_ref: np.ndarray  # (L,) reference curve
     locations: np.ndarray  # (L,)
-    # (L,) from to_deviations: the row of `values` that receives output bin 0
-    # of column i when that column is its output column moved down whole rows,
-    # bit for bit and zero elsewhere; -1 where re-binning merged or skipped
-    # rows or the column has a sign bit set. None when the values are not a
-    # re-binned output matrix.
-    row_offset: np.ndarray | None = None
+    row_offset: np.ndarray | None = None  # (L,) row of output bin 0; None if not re-binned
 
     @property
     def n_locations(self) -> int:
@@ -145,31 +140,23 @@ def reference_curve(model: ModelFunction, locations, alpha_ref=None) -> np.ndarr
 
 
 def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
-    """Shift each column's axis by its reference value and re-bin onto a
-    common uniform delta-y axis of the same bin width (nearest-bin,
-    mass-preserving). Columns that only move by whole rows get their offset
-    in `row_offset`."""
+    """Shift each column's axis by its reference value onto a common uniform
+    delta-y axis of the same bin width, starting at lo = min(centers[0] - y_ref).
+    Column i moves as a whole, down row_offset[i] = round((centers[0] - y_ref[i]
+    - lo) / b) rows, bit for bit with +0.0 elsewhere, so no bins merge."""
     y_ref = np.atleast_1d(np.asarray(y_ref, float))
     if y_ref.size != out.n_locations:
         raise GridError(
             f"y_ref has {y_ref.size} entries, output matrix has {out.n_locations} columns"
         )
     b = out.binning.width
-    centers = out.binning.centers
-    shifted_min = float((centers[0] - y_ref).min())
-    shifted_max = float((centers[-1] - y_ref).max())
-    n_bins = int(round((shifted_max - shifted_min) / b)) + 1
-    common = shifted_min + np.arange(n_bins) * b
-    values = np.zeros((n_bins, out.n_locations))
-    row_offset = np.full(out.n_locations, -1, dtype=np.int64)
-    for i in range(out.n_locations):
-        idx = np.clip(np.round((centers - y_ref[i] - common[0]) / b).astype(np.int64),
-                      0, n_bins - 1)
-        col = out.values[:, i]
-        values[:, i] = np.bincount(idx, weights=col, minlength=n_bins)
-        # bincount adds each mass to +0.0, which keeps it unless it is -0.0.
-        if (np.diff(idx) == 1).all() and not np.signbit(col).any():
-            row_offset[i] = idx[0]
+    first = out.binning.centers[0] - y_ref
+    lo = float(first.min())
+    row_offset = np.round((first - lo) / b).astype(np.int64)
+    K, L = out.values.shape
+    values = np.zeros((int(row_offset.max()) + K, L))
+    values[np.arange(K)[:, None] + row_offset, np.arange(L)] = out.values
+    common = lo + np.arange(values.shape[0]) * b
     return IpsaMatrix(values, common, b, y_ref, out.locations.copy(), row_offset)
 
 

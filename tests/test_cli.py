@@ -326,18 +326,41 @@ def test_ipsa_heatmaps_bytes_match_csv_writer(tmp_path, shared):
     assert (out / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
 
 
-def test_ipsa_writer_formats_flagged_columns_from_values(tmp_path):
-    # Column 0 merges two bins (round half to even), column 1 is a pure shift,
-    # column 2 is a shift whose -0.0 bincount writes as 0.0.
+def test_ipsa_writer_gathers_half_bin_ties_and_negative_zero(tmp_path):
+    # Column 0 sits half a bin from the others and moves as a whole; column 2
+    # keeps its -0.0. Both files are the bytes of csv.writer.
     values = np.array([[0.1, 0.1, 0.1], [0.2, 1e16, -0.0], [0.3, 5e-324, 0.5], [0.4, 1 / 3, 0.4]])
     out = OutputProbabilityMatrix(values, OutputBinning(4, 0.0, 4.0), np.array([0.0, 1.0, 2.0]))
     ipsa = to_deviations(out, [0.0, 0.5, 0.5])
-    assert ipsa.row_offset.tolist() == [-1, 0, -1]
     _write_output_and_ipsa(tmp_path, out, ipsa)
     _write_heatmap_csv(tmp_path / "om.csv", out.locations, out.binning.centers, out.values)
     _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
     assert (tmp_path / "output_matrix.csv").read_bytes() == (tmp_path / "om.csv").read_bytes()
     assert (tmp_path / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
+    assert b",-0.0" in (tmp_path / "ipsa_matrix.csv").read_bytes()
+
+
+def test_ipsa_of_a_linear_model_agrees_at_a_half_bin_location(tmp_path):
+    # y = x on a dyadic grid, bin width 0.125: the reference at 0.0625 sits
+    # half a bin off the others. Its column moves whole, so it has no empty
+    # row inside its support and its variance is the others'.
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({
+        "model": {"expression": "x + 0*a", "variables": ["x", "a"]},
+        "scenario": {"locations": [0.0, 0.0625, 1.0], "sigma_ell": 0.4, "sigma_alpha": 0.25},
+        "grid": {"dims": [{"name": "x", "lower": -4.0, "upper": 4.0, "count": 64},
+                          {"name": "a", "lower": -1.0, "upper": 1.0, "count": 16,
+                           "role": "alpha"}]},
+        "output": {"k": 63},
+    }))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+    _, _, values = _read_heatmap(out / "ipsa_matrix.csv")
+    for column in values.T:
+        support = np.flatnonzero(column)
+        assert (column[support[0]:support[-1] + 1] > 0).all()
+    variance = _read_numbers(out / "summary.csv")[:, 2]
+    assert np.ptp(variance) <= 1e-9
 
 
 def test_reuse_and_vars_never_build_grid_nodes(config, tmp_path, monkeypatch):
@@ -664,6 +687,33 @@ def test_mc_fixed_binning_from_a_bad_csv_names_the_file(config, tmp_path, capsys
     assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "out"),
                  "--fixed-binning-from", str(csv_path)]) == 1
     assert f"error: {csv_path}: bin centers: " in capsys.readouterr().err
+
+
+def test_mc_fixed_binning_from_unevenly_spaced_centers_names_the_file(config, tmp_path,
+                                                                     capsys):
+    csv_path = tmp_path / "bins.csv"
+    csv_path.write_text(",-1.0,0.0,1.0\r\n" + "".join(f"{c},0.5,0.5,0.5\r\n"
+                                                     for c in ["0.5", "1.5", "10.0"]))
+    assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                 "--fixed-binning-from", str(csv_path)]) == 1
+    assert capsys.readouterr().err == (f"error: {csv_path}: bin centers: 1.5 is off the "
+                                       "evenly spaced axis from 0.5 to 10.0\n")
+    assert not (tmp_path / "out" / "mc_matrix.csv").exists()
+
+
+def test_mc_fixed_binning_from_a_500_bin_output_matrix(config, tmp_path):
+    # The reuse workload's shape: 500 centers written by propagate all lie on
+    # the axis inferred from the first two and the last.
+    config.write_text(CONFIG.replace("k: 40", "k: 500"))
+    prop, out = tmp_path / "prop", tmp_path / "mc"
+    assert main(["propagate", "--config", str(config), "--out-dir", str(prop)]) == 0
+    assert main(["mc", "--config", str(config), "--out-dir", str(out),
+                 "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 0
+    _, centers_p, _ = _read_heatmap(prop / "output_matrix.csv")
+    _, centers_m, values_m = _read_heatmap(out / "mc_matrix.csv")
+    assert centers_p.size == 500
+    assert np.abs(centers_m - centers_p).max() <= 1e-9 * (centers_p[1] - centers_p[0])
+    assert np.allclose(values_m.sum(axis=0), 1.0)
 
 
 def test_bench_seed_flag_is_the_seed_the_manifest_records(tmp_path):

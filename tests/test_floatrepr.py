@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_cli import _EDGE
 from vuprop import GridSpec, Dim, MeasurementScenario, builtin, make_grid, output_matrix
+from vuprop import floatrepr
 from vuprop.floatrepr import BLOCK, _shortest, repr_table
 
 
@@ -45,6 +46,21 @@ def test_repr_table_keeps_shape_and_crosses_blocks():
     _assert_matches_repr(values.T)  # not contiguous
     assert repr_table(np.empty((0, 4))).shape == (0, 4)
     assert repr_table(2.5).tolist() == b"2.5"
+
+
+def test_zeros_are_written_without_repr(monkeypatch):
+    # A block of BLOCK values, nine in ten of them +-0.0 as in a sparse
+    # probability matrix: only the nonzero values off the fast path, such as
+    # 0.5 and nan, go through repr.
+    rng = np.random.default_rng(5)
+    values = np.where(rng.random(BLOCK) < 0.9, 0.0, rng.random(BLOCK))
+    values[rng.random(BLOCK) < 0.3] *= -1.0
+    values[[7, 11]] = 0.5, np.nan
+    calls = []
+    monkeypatch.setattr(floatrepr, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    _assert_matches_repr(values)
+    assert (values == 0).sum() > 0.85 * BLOCK and np.signbit(values[values == 0]).any()
+    assert len(calls) == np.count_nonzero(~_shortest(values)[0] & (values != 0)) < 20
 
 
 def test_layout_rules_at_the_form_boundaries():

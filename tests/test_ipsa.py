@@ -336,7 +336,7 @@ def test_local_output_matrix_memory_is_independent_of_L():
     assert peak < 16 * 8 * grid.size
 
 
-# --- to_deviations: row offsets of pure-shift columns ------------------------
+# --- to_deviations: every column moves down whole rows ------------------------
 
 def _is_shift(column, source, offset):
     """column equals source moved down offset rows, bit for bit, +0.0 elsewhere."""
@@ -346,15 +346,15 @@ def _is_shift(column, source, offset):
 
 
 def _check_row_offsets(out, ipsa):
-    n_bins, K = ipsa.values.shape[0], out.values.shape[0]
+    K = out.values.shape[0]
     assert ipsa.row_offset.shape == (out.n_locations,)
+    assert ipsa.row_offset.min() == 0 and ipsa.values.shape[0] == ipsa.row_offset.max() + K
     for i, offset in enumerate(ipsa.row_offset.tolist()):
-        column, source = ipsa.values[:, i], out.values[:, i]
-        if offset >= 0:
-            assert _is_shift(column, source, offset)
-        else:
-            assert offset == -1
-            assert not any(_is_shift(column, source, o) for o in range(n_bins - K + 1))
+        assert _is_shift(ipsa.values[:, i], out.values[:, i], offset)
+        # Each bin lands within half a bin of its exact deviation.
+        exact = out.binning.centers - ipsa.y_ref[i]
+        assert np.abs(ipsa.delta_centers[offset:offset + K] - exact).max() <= (
+            0.5 + 1e-9) * ipsa.bin_width + 1e-9 * np.abs(exact).max()
 
 
 @settings(max_examples=300, deadline=None)
@@ -366,7 +366,7 @@ def _check_row_offsets(out, ipsa):
        st.data())
 def test_to_deviations_row_offsets_reproduce_pure_shifts(K, lo, width, shifts, data):
     # References sit a whole number of bins plus a fraction away, ties included:
-    # round-half-even sends centers at k + 0.5 to even rows and merges bins.
+    # each column still moves as a whole.
     binning = OutputBinning(K, lo, lo + K * width)
     b = binning.width
     y_ref = np.array([n * b + frac * b for n, frac in shifts])
@@ -377,16 +377,19 @@ def test_to_deviations_row_offsets_reproduce_pure_shifts(K, lo, width, shifts, d
     _check_row_offsets(out, to_deviations(out, y_ref))
 
 
-def test_to_deviations_flags_merged_bins_and_negative_zero():
-    # Centers 0.5 .. 3.5. Column 0 (y_ref 0) lands on rows 0.5, 1.5, 2.5, 3.5,
-    # which round half to even as 0, 2, 2, 4: two bins merge. Column 1 moves
-    # whole rows. Column 2 moves whole rows too, but bincount turns -0.0 into 0.0.
+def test_to_deviations_moves_half_bin_ties_and_negative_zero_whole():
+    # Centers 0.5 .. 3.5. Column 0 (y_ref 0) sits half a bin from columns 1
+    # and 2 (y_ref 0.5): it moves as a whole onto rows 0 .. 3 instead of
+    # rounding its bins half to even onto rows 0, 2, 2, 4. Column 2 keeps
+    # its -0.0.
     binning = OutputBinning(4, 0.0, 4.0)
     values = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, -0.0], [0.3, 0.3, 0.5], [0.4, 0.4, 0.4]])
     out = OutputProbabilityMatrix(values, binning, np.array([0.0, 1.0, 2.0]))
     ipsa = to_deviations(out, [0.0, 0.5, 0.5])
-    assert ipsa.row_offset.tolist() == [-1, 0, -1]
-    assert ipsa.values[2, 0] == 0.2 + 0.3
+    assert ipsa.row_offset.tolist() == [0, 0, 0]
+    assert ipsa.delta_centers.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert ipsa.values[:, 0].tolist() == [0.1, 0.2, 0.3, 0.4]
+    assert np.signbit(ipsa.values[1, 2]) and np.signbit(ipsa.values).sum() == 1
     _check_row_offsets(out, ipsa)
 
 
