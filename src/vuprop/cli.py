@@ -261,21 +261,22 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:
     opts = cfg.mc()
     k = cfg.output()["k"]
     if args.fixed_binning_from:
-        binning = _binning_from_csv(args.fixed_binning_from)
+        binning, centers = _binning_from_csv(args.fixed_binning_from)
     else:
         binning = matrix_from_model(model, grid, k).binning
+        centers = binning.centers
     mc_cfg = McConfig(opts["n_samples"], k, cfg.seed, binning)
     out = mc_propagate_many(model, scenario, mc_cfg, grid)
-    _write_heatmap(out_dir / "mc_matrix.csv", out.locations,
-                   out.binning.centers, out.values)
+    _write_heatmap(out_dir / "mc_matrix.csv", out.locations, centers, out.values)
     return {"n_samples": opts["n_samples"], "K": out.binning.K, "L": out.n_locations}
 
 
 def _binning_from_csv(path):
-    """The binning whose bin centers are the first column of a heatmap CSV.
-    The first two centers set its width; every center must lie within a
-    millionth of a bin width of its place on the axis. One center c is one
-    bin, labelled c, that takes every sample."""
+    """The binning whose bin centers are the first column of a heatmap CSV,
+    and those centers as read, to label its rows with. The first two centers
+    set its width; every center must lie within a millionth of a bin width
+    of its place on the axis. One center c is one bin, labelled c, that takes
+    every sample."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     try:
@@ -288,7 +289,7 @@ def _binning_from_csv(path):
         if not (off <= 1e-6 * binning.width).all():
             raise GridError(f"{c[int(np.argmax(off))]!r} is off the evenly spaced axis "
                             f"from {c[0]!r} to {c[-1]!r}")
-        return binning
+        return binning, np.array(c)
     except (ValueError, IndexError, GridError) as exc:
         raise VupropError(f"{path}: bin centers: {exc}") from None
 

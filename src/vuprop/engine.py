@@ -8,6 +8,11 @@ of cost O(N) per propagated column (`propagate`, `propagate_many`).
 A measurement scenario needs no per-column pass over the grid:
 `propagate_scenario` propagates all L locations in O(N + L * nx * K) time
 (nx x nodes, K bins) and O(N + L * (nx + K)) memory, independent of N * L.
+
+Every loop over the N nodes runs in blocks of about `grid.BLOCK` consecutive
+nodes, so the build holds N outputs, N int64 bin indices and one block of
+temporaries, and the fold holds the N indices, its nx * K operator and one
+block.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grid as grid_module
 from .distributions import (
     MeasurementScenario,
     ProbabilityMatrix,
@@ -72,14 +78,25 @@ class OutputBinning:
         """Bin index per value: floor((y - y_min)/b), clamped into [0, K-1].
 
         The values must be finite; both callers check. Clamped before the
-        integer cast, so a huge finite value lands in the end bin nearest it."""
+        integer cast, so a huge finite value lands in the end bin nearest it.
+        Works in place in one block-sized buffer; y is never written."""
         y = np.asarray(y, float)
         if self.K == 1:
             return np.zeros(y.shape, dtype=np.int64)
         b = (self.y_max - self.y_min) / self.K
+        out = np.empty(y.shape, dtype=np.int64)
+        flat, flat_out = y.reshape(-1), out.reshape(-1)
+        block = grid_module.BLOCK
+        buf = np.empty(min(flat.size, block))
         with np.errstate(over="ignore"):  # an infinite quotient clamps like any other
-            raw = np.floor((y - self.y_min) / b)
-        return np.clip(raw, 0, self.K - 1, out=raw).astype(np.int64)
+            for start in range(0, flat.size, block):
+                t = buf[:flat.size - start]
+                np.subtract(flat[start:start + t.size], self.y_min, out=t)
+                np.divide(t, b, out=t)
+                np.floor(t, out=t)
+                np.clip(t, 0, self.K - 1, out=t)
+                flat_out[start:start + t.size] = t
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,10 +153,12 @@ def build_model_matrix(
         raise EvaluationError("no model outputs to bin")
     if K < 1:
         raise EvaluationError(f"bin count must be >= 1, got {K}")
-    if not np.all(np.isfinite(outputs)):
+    # Every output is finite iff both extremes are (a nan reaches both).
+    y_min, y_max = float(outputs.min()), float(outputs.max())
+    if not (math.isfinite(y_min) and math.isfinite(y_max)):
         raise EvaluationError("non-finite model outputs")
     if binning is None:
-        binning = OutputBinning.spanning(K, float(outputs.min()), float(outputs.max()))
+        binning = OutputBinning.spanning(K, y_min, y_max)
     bin_of = binning.assign(outputs)
     return SparseModelMatrix(bin_of, binning, grid, model_name)
 
@@ -203,9 +222,9 @@ def propagate_scenario(
 
     - fold (L >= 3 and nx * K <= 4 * N): the alpha factors and the bin index
       collapse into the operator A[x, k] = sum_alpha w(alpha) [bin(x, alpha)
-      = k] by one weighted bincount over N; then out = (x_block @ A).T, an
-      (L x nx) @ (nx x K) product. Sums run in another order, so results can
-      differ from the column path by a few ULP.
+      = k] by one weighted bincount per block of whole x rows; then out =
+      (x_block @ A).T, an (L x nx) @ (nx x K) product. Sums run in another
+      order, so results can differ from the column path by a few ULP.
     - stream (otherwise): each column is built from the factors (N transient
       floats) and propagated; bit-identical to the column path.
     """
@@ -222,13 +241,23 @@ def propagate_scenario(
 
 
 def _propagate_folded(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:
+    # A block holds whole x rows (every alpha node of its x nodes), so each
+    # cell of A receives its terms in flat order, as one bincount over N
+    # would add them.
     nx = f.x_block.shape[1]
     K = matrix.K
-    shape = (f.pre.size, nx, f.post.size)
-    index = matrix.bin_of.reshape(shape) + (K * np.arange(nx))[None, :, None]
-    weights = np.broadcast_to(np.multiply.outer(f.pre, f.post)[:, None, :], shape)
-    A = np.bincount(index.ravel(), weights=weights.ravel(), minlength=nx * K)
-    return (f.x_block @ A.reshape(nx, K)).T
+    bins = matrix.bin_of.reshape(f.pre.size, nx, f.post.size)
+    weights = np.multiply.outer(f.pre, f.post)[:, None, :]
+    step = max(1, grid_module.BLOCK // weights.size)
+    A = np.empty((nx, K))
+    for x0 in range(0, nx, step):
+        rows = bins[:, x0:x0 + step]
+        index = rows + (K * np.arange(rows.shape[1]))[None, :, None]
+        A[x0:x0 + rows.shape[1]] = np.bincount(
+            index.ravel(), weights=np.broadcast_to(weights, index.shape).ravel(),
+            minlength=index.shape[1] * K,
+        ).reshape(-1, K)
+    return (f.x_block @ A).T
 
 
 def _propagate_streamed(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:

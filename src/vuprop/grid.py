@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import GridError
 
+# Nodes per block in the loops that walk a grid in flat order
+# (`Grid.node_blocks`, `OutputBinning.assign`, the fold of
+# `engine.propagate_scenario`): a block-sized float column is 512 KiB, so a
+# block's few temporaries stay in cache and none of them grows with N.
+BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Dim:
@@ -94,9 +100,28 @@ class Grid:
     @functools.cached_property
     def nodes(self) -> np.ndarray:
         """(N, ndim) node coordinates, row-major: first dimension slowest.
-        Built on first use; code that broadcasts `axes` never pays for it."""
+        A convenience for tests and library callers: no command builds it,
+        because `node_blocks` and the broadcast `axes` give the same values
+        without an N-sized array."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def node_blocks(self):
+        """(start, columns) for consecutive blocks of at most BLOCK flat
+        nodes: columns[d] holds the block's values of `nodes[:, d]`. A block
+        is a run of whole rows over the trailing dimensions, the shortest
+        trailing run that fits in BLOCK nodes (a single node if none does)."""
+        counts = self.spec.counts
+        lead = next(d for d in range(self.ndim + 1) if math.prod(counts[d:]) <= BLOCK)
+        row = math.prod(counts[lead:])
+        tail = [m.ravel() for m in np.meshgrid(*self.axes[lead:], indexing="ij")]
+        n_rows = math.prod(counts[:lead])
+        per_block = BLOCK // row
+        for first in range(0, n_rows, per_block):
+            rows = np.arange(first, min(first + per_block, n_rows))
+            columns = [np.repeat(self.axes[d][rows // math.prod(counts[d + 1:lead]) % counts[d]],
+                                 row) for d in range(lead)]
+            yield first * row, columns + [np.tile(t, rows.size) for t in tail]
 
     @property
     def size(self) -> int:

@@ -304,17 +304,22 @@ def _check_arity(model: ModelFunction, grid: Grid) -> None:
 
 
 def eval_on_grid(model: ModelFunction, grid: Grid) -> np.ndarray:
-    """Evaluate the model at every grid node, in flat order."""
+    """Evaluate the model at every grid node, in flat order, one block of
+    node columns at a time (`Grid.node_blocks`) into one N-float array."""
     _check_arity(model, grid)
-    out = model.raw(*grid.nodes.T)  # one flat coordinate column per dimension
-    out = np.broadcast_to(out, (grid.size,)).astype(float, copy=False)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        j = int(bad[0])
-        node = tuple(axis[i] for axis, i in zip(grid.axes, np.unravel_index(j, grid.spec.counts)))
-        raise EvaluationError(
-            f"model {model.name!r} produced non-finite output at flat index {j}, node {node}"
-        )
+    out = np.empty(grid.size)
+    for start, columns in grid.node_blocks():
+        block = out[start:start + columns[0].size]
+        block[...] = model.raw(*columns)
+        # A nan reaches both extremes and an inf its own end, so the first
+        # bad node is looked for only in a block that has one.
+        if not (math.isfinite(block.min()) and math.isfinite(block.max())):
+            j = start + int(np.flatnonzero(~np.isfinite(block))[0])
+            node = tuple(axis[i] for axis, i in
+                         zip(grid.axes, np.unravel_index(j, grid.spec.counts)))
+            raise EvaluationError(
+                f"model {model.name!r} produced non-finite output at flat index {j}, node {node}"
+            )
     return out
 
 

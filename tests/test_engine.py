@@ -26,6 +26,7 @@ from vuprop import (
     scenario_matrix,
     shifted_model_matrix,
 )
+from vuprop import grid as grid_module
 from vuprop.distributions import scenario_factors
 from vuprop.engine import _propagate_folded, _propagate_streamed, reconstruct_prior
 from vuprop.errors import (
@@ -63,6 +64,28 @@ def test_binning_clamps_huge_finite_values_to_the_nearest_end(recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+@pytest.mark.parametrize("K", [1, 2, 10, 500])
+def test_binning_assign_in_blocks_is_the_one_shot_formula(block, K, monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK", block)
+    b = OutputBinning(K, -2.0, 3.0)
+    rng = np.random.default_rng(5)
+    y = np.concatenate([
+        [1e300, -1e300, 1.7e308, -1.7e308, b.y_min, b.y_max],
+        b.edges, np.nextafter(b.edges, np.inf), np.nextafter(b.edges, -np.inf),
+        rng.uniform(-3.0, 4.0, 23),
+    ])
+    before = y.copy()
+    with np.errstate(over="ignore"):
+        expected = np.clip(np.floor((y - b.y_min) / ((b.y_max - b.y_min) / K)), 0, K - 1)
+    for values, want in ((y, expected), (y.reshape(-1, 1), expected.reshape(-1, 1)),
+                         (y[::2], expected[::2])):
+        bins = b.assign(values)
+        assert bins.dtype == np.int64
+        assert np.array_equal(bins, want)
+    assert np.array_equal(y, before)
+
+
 def test_identity_model_two_bins():
     # Four nodes 0.5..3.5 mapped through y = x into K = 2 bins of the range
     # [0.5, 3.5]: the lower two nodes land in bin 0, the upper two in bin 1.
@@ -90,6 +113,16 @@ def test_constant_model_collapses_to_one_bin():
     assert np.all(m.bin_of == 0)
     out = propagate(m, gaussian_on_grid(g, 0.0, 1.0))
     assert out.tolist() == pytest.approx([1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite_outputs_anywhere(bad):
+    for j in (0, 3, 7):
+        outputs = np.arange(8.0)
+        outputs[j] = bad
+        for binning in (None, OutputBinning(4, 0.0, 8.0)):
+            with pytest.raises(EvaluationError, match="non-finite model outputs"):
+                build_model_matrix(outputs, 4, binning=binning)
 
 
 def test_build_rejects_bad_inputs():
@@ -259,6 +292,45 @@ def test_propagate_scenario_memory_independent_of_locations():
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 10
+
+
+def _folded_in_one_bincount(matrix, f):
+    """The fold as one weighted bincount over all N nodes."""
+    nx, K = f.x_block.shape[1], matrix.K
+    shape = (f.pre.size, nx, f.post.size)
+    index = matrix.bin_of.reshape(shape) + (K * np.arange(nx))[None, :, None]
+    weights = np.broadcast_to(np.multiply.outer(f.pre, f.post)[:, None, :], shape)
+    A = np.bincount(index.ravel(), weights=weights.ravel(), minlength=nx * K)
+    return (f.x_block @ A.reshape(nx, K)).T
+
+
+@pytest.mark.parametrize("block", [1, 30, 50, 200, 1 << 16])
+def test_fold_in_blocks_of_x_rows_is_the_one_bincount_fold(block, monkeypatch):
+    # x in the middle, so every x row is pre.size = 6 runs of post.size = 4
+    # nodes; a block of 50 holds two x rows, and the last block one.
+    g = make_grid(GridSpec((Dim("a", -1, 1, 6, "alpha"), Dim("x", -3, 3, 9, "x"),
+                            Dim("b", -0.5, 0.5, 4, "alpha"))))
+    m = matrix_from_model(parse_expression("sin(2*x) + a*b + x*a", ["a", "x", "b"]), g, 7)
+    f = scenario_factors(g, MeasurementScenario([-1.0, 0.3, 2.0, 2.5], 0.7, 0.3))
+    assert f.pre.size > 1
+    expected = _folded_in_one_bincount(m, f)
+    monkeypatch.setattr(grid_module, "BLOCK", block)
+    assert np.array_equal(_propagate_folded(m, f), expected)
+
+
+def test_build_and_fold_stay_under_24_bytes_per_node():
+    # N = 1e6: the build holds N outputs, N int64 bins and one block; the fold
+    # the N bins, its nx * K = N operator and one block. No (N, 2) node array
+    # and no N-sized temporary.
+    g = make_grid(GridSpec((Dim("x", -4, 4, 2000), Dim("a", -1, 1, 500, "alpha"))))
+    sc = MeasurementScenario(np.linspace(-3.5, 3.5, 50), 0.4, 0.25)
+    tracemalloc.start()
+    try:
+        propagate_scenario(matrix_from_model(builtin("ipsa2d"), g, 500), sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * g.size
 
 
 def test_shifted_matrix_matches_absolute_convention():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vuprop import Dim, GridSpec, flat_index, make_grid, multi_index
+from vuprop import grid as grid_module
 from vuprop.errors import GridError
 
 
@@ -31,6 +32,22 @@ def test_nodes_are_built_on_first_use_from_axes():
     assert "nodes" not in vars(g)
     assert g.nodes is g.nodes  # cached
     assert np.array_equal(g.nodes, np.stack(np.meshgrid(*g.axes, indexing="ij"), -1).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("counts", [(100,), (13, 5), (1, 40), (3, 7, 5), (2, 3, 40)])
+@pytest.mark.parametrize("block", [1, 7, 16, 1 << 16])
+def test_node_blocks_tile_the_nodes_within_the_block_size(counts, block, monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK", block)
+    g = make_grid(GridSpec(tuple(Dim(f"d{i}", -1.0, 2.0 + i, c) for i, c in enumerate(counts))))
+    expected = g.nodes
+    start = 0
+    for first, columns in g.node_blocks():
+        assert first == start and len(columns) == g.ndim
+        size = columns[0].size
+        assert 1 <= size <= block
+        assert np.array_equal(np.stack(columns, axis=-1), expected[start:start + size])
+        start += size
+    assert start == g.size
 
 
 def test_row_major_order_x_slowest():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vuprop import Dim, GridSpec, builtin, eval_on_grid, make_grid, parse_expression
+from vuprop import grid as grid_module
 from vuprop.errors import EvaluationError, ExpressionError
 from vuprop.models import eval_ast, eval_at_locations, eval_shifted, parse_ast, pretty, x_first
 
@@ -117,6 +118,42 @@ def test_eval_on_grid_matches_pointwise_loop():
     out = eval_on_grid(m, g)
     for j in range(g.size):
         assert out[j] == pytest.approx(m(*g.nodes[j]), abs=0, rel=1e-15)
+
+
+# (dims as (name, lower, upper, count, role), model): N = 65 is no multiple of
+# a block of whole 5-node rows; a first dimension of count 1; x in the middle.
+_BLOCK_GRIDS = {
+    "ragged": ((("x", -3.0, 3.0, 13, "x"), ("a", -1.0, 1.0, 5, "alpha")), builtin("ipsa2d")),
+    "one_row": ((("x", -3.0, 3.0, 1, "x"), ("a", -1.0, 1.0, 40, "alpha")), builtin("bench2d")),
+    "x_middle": ((("a", -1.0, 1.0, 3, "alpha"), ("x", -3.0, 3.0, 7, "x"),
+                  ("b", 0.0, 2.0, 5, "alpha")),
+                 parse_expression("x^2 + 5*sin(3*x) + a*b - exp(b/3)", ["a", "x", "b"])),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_BLOCK_GRIDS))
+@pytest.mark.parametrize("block", [1, 4, 16, 1 << 16])
+def test_eval_on_grid_in_blocks_is_the_one_shot_evaluation(layout, block, monkeypatch):
+    dims, model = _BLOCK_GRIDS[layout]
+    g = make_grid(GridSpec(tuple(Dim(*d) for d in dims)))
+    expected = model.raw(*g.nodes.T)
+    monkeypatch.setattr(grid_module, "BLOCK", block)
+    assert np.array_equal(eval_on_grid(model, g), expected)
+
+
+def test_eval_on_grid_in_blocks_at_the_default_block_size():
+    # 301 x 300 nodes: two blocks of whole rows, the second one partial.
+    g = make_grid(GridSpec((Dim("x", -4, 4, 301), Dim("a", -1, 1, 300, "alpha"))))
+    model = builtin("ipsa2d")
+    assert np.array_equal(eval_on_grid(model, g), model.raw(*g.nodes.T))
+
+
+def test_eval_on_grid_names_the_first_bad_node_of_a_later_block(monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK", 4)
+    g = make_grid(GridSpec((Dim("x", 0, 20, 20),)))  # nodes 0.5, 1.5, ...
+    m = parse_expression("1/((x-13.5)*(x-17.5))", ["x"])
+    with pytest.raises(EvaluationError, match="flat index 13, node"):
+        eval_on_grid(m, g)
 
 
 def test_eval_on_grid_arity_mismatch():
