@@ -33,7 +33,6 @@ from .engine import (
     propagate_many,
     propagate_scenario,
     save_matrix,
-    shifted_model_matrix,
 )
 from .mc import (
     McConfig,

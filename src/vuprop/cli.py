@@ -40,7 +40,7 @@ from .ipsa import (
     to_deviations,
 )
 from .mc import McConfig, mc_propagate_many
-from .models import x_first
+from .models import eval_on_grid, x_first
 from .variogram import integrated_variogram, local_square_deviation
 
 
@@ -263,7 +263,8 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:
     if args.fixed_binning_from:
         binning, centers = _binning_from_csv(args.fixed_binning_from)
     else:
-        binning = matrix_from_model(model, grid, k).binning
+        y = eval_on_grid(model, grid)
+        binning = OutputBinning.spanning(k, float(y.min()), float(y.max()))
         centers = binning.centers
     mc_cfg = McConfig(opts["n_samples"], k, cfg.seed, binning)
     out = mc_propagate_many(model, scenario, mc_cfg, grid)

@@ -4,6 +4,10 @@ All distributions are truncated at the grid boundary (mass outside is zero)
 and renormalized to sum to one. Normalization totals use numpy's pairwise
 summation, whose ~1e-15 relative error keeps the 1e-9 column-sum invariant
 safe on grids of 1e6+ cells without a per-element Python loop.
+
+A measurement location's column is a Gaussian centered at x = ell on the
+grid itself. Deviation coordinates arise only where a caller shifts the
+model's input (`models.eval_shifted`), never in a column.
 """
 
 from __future__ import annotations
@@ -97,6 +101,13 @@ class MeasurementScenario:
         return np.full(self.n_locations, 1.0 / self.n_locations)
 
 
+def _axis_gaussian(axis: np.ndarray, mean, sigma) -> np.ndarray:
+    """Unnormalized Gaussian density exp(-z^2 / 2) at the nodes of an axis;
+    mean broadcasts against axis, so an (L, 1) column of means gives (L, n)."""
+    z = (axis - mean) / sigma
+    return np.exp(-0.5 * z * z)
+
+
 def gaussian_on_grid(grid: Grid, mean, sigma) -> ProbabilityVector:
     """Truncated product Gaussian: density at cell centers, renormalized."""
     mean = np.atleast_1d(np.asarray(mean, float))
@@ -109,10 +120,7 @@ def gaussian_on_grid(grid: Grid, mean, sigma) -> ProbabilityVector:
         raise GridError("sigma components must be > 0")
     # Separable: per-axis factors, combined by outer product. Keeps symmetric
     # axes exactly palindromic and costs O(sum of axis lengths) exp calls.
-    factors = []
-    for d in range(grid.ndim):
-        z = (grid.axes[d] - mean[d]) / sigma[d]
-        factors.append(np.exp(-0.5 * z * z))
+    factors = [_axis_gaussian(grid.axes[d], mean[d], sigma[d]) for d in range(grid.ndim)]
     dens = factors[0]
     for f in factors[1:]:
         dens = np.multiply.outer(dens, f)
@@ -161,7 +169,7 @@ def scenario_sigma(grid: Grid, scenario: MeasurementScenario) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioFactors:
-    """Absolute-convention scenario columns in separable form.
+    """Scenario columns in separable form.
 
     On the grid viewed as (n_pre, nx, n_post) -- the alpha dims before x,
     x, the alpha dims after x -- column i is
@@ -180,25 +188,20 @@ class ScenarioFactors:
 
 
 def scenario_factors(grid: Grid, scenario: MeasurementScenario) -> ScenarioFactors:
-    """Per-axis factors of every absolute-convention column, normalized.
+    """Per-axis factors of every scenario column, normalized.
 
     Costs O(N / nx + L * nx): only the x factor depends on the location.
     """
     xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
-
-    def axis_factor(d):
-        z = grid.axes[d] / sigma[d]
-        return np.exp(-0.5 * z * z)
-
     pre = np.ones(1)
     for d in range(xd):
-        pre = np.multiply.outer(pre, axis_factor(d)).ravel()
+        pre = np.multiply.outer(pre, _axis_gaussian(grid.axes[d], 0.0, sigma[d])).ravel()
     post = np.ones(1)
     for d in range(xd + 1, grid.ndim):
-        post = np.multiply.outer(post, axis_factor(d)).ravel()
-    zx = (scenario.locations[:, None] - grid.axes[xd][None, :]) / sigma[xd]
-    x_block = np.exp(-0.5 * zx * zx)  # (L, nx)
+        post = np.multiply.outer(post, _axis_gaussian(grid.axes[d], 0.0, sigma[d])).ravel()
+    # (L, nx): one row of x factors per location
+    x_block = _axis_gaussian(grid.axes[xd], scenario.locations[:, None], sigma[xd])
     # Column sums factor over axes (sum of an outer product is the product of
     # the factor sums), so normalization folds into the x-block up front and
     # needs no pass over an assembled column.
@@ -213,34 +216,18 @@ def scenario_factors(grid: Grid, scenario: MeasurementScenario) -> ScenarioFacto
     return ScenarioFactors(pre, x_block, post)
 
 
-def scenario_matrix(
-    grid: Grid, scenario: MeasurementScenario, convention: str = "absolute"
-) -> ProbabilityMatrix:
-    """Per-location input probability matrix of truncated Gaussians, (N, L).
+def scenario_matrix(grid: Grid, scenario: MeasurementScenario) -> ProbabilityMatrix:
+    """Per-location input probability matrix of truncated Gaussians, (N, L):
+    the column for location ell is centered at x = ell on the grid.
 
-    "absolute": column for location ell is centered at x = ell on the grid.
-    "deviation": the grid's x-coordinate is the deviation from ell; every
-    column is centered at x = 0 and the ell-shift is applied when the model
-    matrix is built (see engine.shifted_model_matrix).
-
-    The matrix holds N * L floats; engine.propagate_scenario propagates an
-    absolute-convention scenario without forming it.
+    The matrix holds N * L floats; engine.propagate_scenario propagates a
+    scenario without forming it.
     """
-    if convention not in ("absolute", "deviation"):
-        raise GridError(f"unknown convention {convention!r}")
-    L = scenario.n_locations
-
-    if convention == "deviation":
-        # Every column is the same zero-centered Gaussian.
-        base = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario)).values
-        cols = np.repeat(base[:, None], L, axis=1)
-        return ProbabilityMatrix(cols, scenario.locations.copy(), grid)
-
     f = scenario_factors(grid, scenario)
     # Assemble with the location axis first, then expose the transposed view:
     # each column is then contiguous in memory, which downstream per-column
     # scatter-adds reward with a ~2x throughput gain.
     dens = (f.pre[None, :, None, None] * f.x_block[:, None, :, None]
             * f.post[None, None, None, :])
-    cols = dens.reshape(L, grid.size).T
+    cols = dens.reshape(scenario.n_locations, grid.size).T
     return ProbabilityMatrix(cols, scenario.locations.copy(), grid)

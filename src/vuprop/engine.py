@@ -3,7 +3,9 @@
 The matrix of the discretized deterministic propagator has exactly one
 nonzero (a 1) per input column, so it is stored as an index map
 input-cell -> output-bin and the matrix product degenerates to a scatter-add
-of cost O(N) per propagated column (`propagate`, `propagate_many`).
+of cost O(N) per propagated column (`propagate`, `propagate_many`). A model
+matrix is always binned over its outputs' own exact range; binning onto a
+fixed axis is `OutputBinning.assign` alone.
 
 A measurement scenario needs no per-column pass over the grid:
 `propagate_scenario` propagates all L locations in O(N + L * nx * K) time
@@ -33,7 +35,7 @@ from .distributions import (
 )
 from .errors import EvaluationError, GridError, NoSupportError, SidecarFormatError
 from .grid import Grid
-from .models import ModelFunction, eval_on_grid, eval_shifted
+from .models import ModelFunction, eval_on_grid
 
 _MAGIC = b"VUPM"
 _VERSION = 1
@@ -77,9 +79,11 @@ class OutputBinning:
     def assign(self, y: np.ndarray) -> np.ndarray:
         """Bin index per value: floor((y - y_min)/b), clamped into [0, K-1].
 
-        The values must be finite; both callers check. Clamped before the
-        integer cast, so a huge finite value lands in the end bin nearest it.
-        Works in place in one block-sized buffer; y is never written."""
+        The values must be finite; every caller checks. Clamped before the
+        integer cast, so a huge finite value lands in the end bin nearest it;
+        of the callers only `mc --fixed-binning-from` can pass values outside
+        [y_min, y_max]. Works in place in one block-sized buffer; y is never
+        written."""
         y = np.asarray(y, float)
         if self.K == 1:
             return np.zeros(y.shape, dtype=np.int64)
@@ -141,12 +145,10 @@ def build_model_matrix(
     K: int,
     grid: Grid | None = None,
     model_name: str = "",
-    binning: OutputBinning | None = None,
 ) -> SparseModelMatrix:
     """Bin model outputs into K uniform bins spanning their exact range.
 
-    A fixed binning may be supplied instead (outputs outside its range clamp
-    into the end bins). A constant-output model collapses to K = 1.
+    A constant-output model collapses to K = 1.
     """
     outputs = np.asarray(outputs, float)
     if outputs.size == 0:
@@ -157,28 +159,12 @@ def build_model_matrix(
     y_min, y_max = float(outputs.min()), float(outputs.max())
     if not (math.isfinite(y_min) and math.isfinite(y_max)):
         raise EvaluationError("non-finite model outputs")
-    if binning is None:
-        binning = OutputBinning.spanning(K, y_min, y_max)
-    bin_of = binning.assign(outputs)
-    return SparseModelMatrix(bin_of, binning, grid, model_name)
+    binning = OutputBinning.spanning(K, y_min, y_max)
+    return SparseModelMatrix(binning.assign(outputs), binning, grid, model_name)
 
 
-def matrix_from_model(
-    model: ModelFunction, grid: Grid, K: int, binning: OutputBinning | None = None
-) -> SparseModelMatrix:
-    outputs = eval_on_grid(model, grid)
-    return build_model_matrix(outputs, K, grid=grid, model_name=model.name, binning=binning)
-
-
-def shifted_model_matrix(
-    model: ModelFunction, grid: Grid, ell: float, K: int,
-    binning: OutputBinning | None = None,
-) -> SparseModelMatrix:
-    """Matrix of x -> M(ell + x, alpha) on a deviation-coordinate grid."""
-    shifted, _ = eval_shifted(model, grid, ell)
-    return build_model_matrix(
-        shifted.ravel(), K, grid=grid, model_name=f"{model.name}@ell={ell!r}", binning=binning
-    )
+def matrix_from_model(model: ModelFunction, grid: Grid, K: int) -> SparseModelMatrix:
+    return build_model_matrix(eval_on_grid(model, grid), K, grid=grid, model_name=model.name)
 
 
 def propagate(matrix: SparseModelMatrix, p: ProbabilityVector | np.ndarray) -> np.ndarray:
@@ -214,7 +200,7 @@ _FOLD_MAX_RATIO = 4
 def propagate_scenario(
     matrix: SparseModelMatrix, scenario: MeasurementScenario
 ) -> OutputProbabilityMatrix:
-    """Propagate every absolute-convention location of a scenario.
+    """Propagate every location of a scenario.
 
     Equals propagate_many(matrix, scenario_matrix(matrix.grid, scenario))
     without forming the (N, L) input matrix. Only the x factor of a column

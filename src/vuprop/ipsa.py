@@ -16,7 +16,7 @@ from .distributions import MeasurementScenario, gaussian_on_grid, scenario_sigma
 from .engine import (
     OutputBinning,
     OutputProbabilityMatrix,
-    build_model_matrix,
+    SparseModelMatrix,
     matrix_from_model,
     propagate,
     propagate_scenario,
@@ -103,20 +103,24 @@ def _binned_sweep(locations, K: int, evaluate, column) -> tuple[np.ndarray, Outp
     evaluate(ell) gives a grid and the outputs at its nodes, in flat order;
     column(ell, grid) gives the input distribution on that grid. Two sweeps
     keep memory at O(N) whatever L is: the first finds the global output
-    range that the binning spans, the second evaluates each location again,
-    bins and propagates.
+    range that the binning spans, and exits on the first location with a
+    non-finite output; the second evaluates each location again, bins and
+    propagates. The binning spans every output, so none is clamped.
     """
     y_min = math.inf
     y_max = -math.inf
     for ell in locations:
         y = evaluate(ell)[1]
-        y_min = min(y_min, float(y.min()))
-        y_max = max(y_max, float(y.max()))
+        lo, hi = float(y.min()), float(y.max())  # a nan reaches both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise EvaluationError(f"non-finite model outputs at location {ell}")
+        y_min = min(y_min, lo)
+        y_max = max(y_max, hi)
     binning = OutputBinning.spanning(K, y_min, y_max)
     values = np.empty((binning.K, locations.size))
     for i, ell in enumerate(locations):
         g, y = evaluate(ell)
-        matrix = build_model_matrix(y, K, grid=g, binning=binning)
+        matrix = SparseModelMatrix(binning.assign(y), binning, g)
         values[:, i] = propagate(matrix, column(ell, g))
     return values, binning
 
@@ -125,9 +129,9 @@ def reference_curve(model: ModelFunction, locations, alpha_ref=None) -> np.ndarr
     """y_ref[i] = M(location_i, alpha_ref); alpha_ref defaults to zeros.
 
     Zero is the mode of the centered alpha-Gaussian, matching the
-    maximum-input-probability reference convention. The location is the
-    model's first input (`models.x_first` moves the grid's x there). A
-    non-finite reference is an EvaluationError naming its location.
+    maximum-input-probability reference. The location is the model's first
+    input (`models.x_first` moves the grid's x there). A non-finite reference
+    is an EvaluationError naming its location.
     """
     locations = np.atleast_1d(np.asarray(locations, float))
     alpha = np.zeros(model.arity - 1) if alpha_ref is None else alpha_ref
@@ -198,12 +202,19 @@ def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
             raise GridError(f"weights need length {L}")
     c = ipsa.delta_centers
     mean = ipsa.values.T @ c
-    ex2 = ipsa.values.T @ (c * c)
-    variance = ex2 - mean ** 2
     argmax = c[np.argmax(ipsa.values, axis=0)]
+    # Column i holds mass on its K rows from offset[i] on, +0.0 elsewhere.
+    offset = np.zeros(L, np.int64) if ipsa.row_offset is None else ipsa.row_offset
+    K = ipsa.values.shape[0] - int(offset.max())
+    variance = np.empty(L)
     ci_lo = np.empty(L)
     ci_hi = np.empty(L)
     for i in range(L):
+        # Two-pass variance (Chan, Golub & LeVeque 1983): a sum of
+        # non-negative terms, where E[c^2] - mean^2 can cancel to a negative.
+        rows = slice(offset[i], offset[i] + K)
+        d = c[rows] - mean[i]
+        variance[i] = ipsa.values[rows, i] @ (d * d)
         lo, hi = _shortest_interval(ipsa.values[:, i], level)
         ci_lo[i] = c[lo]
         ci_hi[i] = c[hi]

@@ -9,9 +9,10 @@ import yaml
 from vuprop import grid as grid_module
 from vuprop.cli import _write_heatmap, _write_output_and_ipsa, main
 from vuprop.config import RunConfig
-from vuprop.engine import OutputBinning, OutputProbabilityMatrix
+from vuprop.engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model
 from vuprop.grid import make_grid
 from vuprop.ipsa import output_matrix, reference_curve, to_deviations
+from vuprop.mc import McConfig, mc_propagate_many
 
 
 CONFIG = """
@@ -725,3 +726,51 @@ def test_mc_fixed_binning_from_a_500_bin_output_matrix(config, tmp_path):
 def test_bench_seed_flag_is_the_seed_the_manifest_records(tmp_path):
     assert _run_with(tmp_path, "bench", ("seed",), 7, ["--seed", "5"]) == 0
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 5
+
+
+SQRT_CONFIG = """
+seed: 1
+model:
+  expression: "sqrt(x - 1) + a"
+  variables: [x, a]
+scenario:
+  locations: {locations}
+  sigma_ell: 0.3
+  sigma_alpha: 0.25
+grid:
+  dims:
+    - {{name: x, lower: 0.0, upper: 5.0, count: 50}}
+    - {{name: a, lower: -1.0, upper: 1.0, count: 10, role: alpha}}
+output:
+  k: 20
+  shared_matrix: false
+"""
+
+
+@pytest.mark.parametrize("locations", ["[0.5, 0.6]", "[3.0, 0.5, 4.0]"])
+def test_local_windows_with_nan_outputs_name_the_first_bad_location(tmp_path, capsys,
+                                                                    locations):
+    # sqrt(x - 1) is nan for x < 1, which every window around 0.5 holds: the
+    # range sweep stops there, whether or not a finite window came first.
+    config = tmp_path / "run.yaml"
+    config.write_text(SQRT_CONFIG.format(locations=locations))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: non-finite model outputs at location 0.5\n"
+    assert not (out / "output_matrix.csv").exists()
+
+
+def test_plain_mc_builds_no_model_matrix(config, tmp_path, monkeypatch):
+    # The binning spans the grid outputs' range, as matrix_from_model's does.
+    import vuprop.cli
+
+    cfg = RunConfig.load(config)
+    grid = make_grid(cfg.grid_spec())
+    binning = matrix_from_model(cfg.model(), grid, 40).binning
+    want = mc_propagate_many(cfg.model(), cfg.scenario(), McConfig(2000, 40, 7, binning), grid)
+    _write_heatmap(tmp_path / "want.csv", want.locations, binning.centers, want.values)
+    monkeypatch.setattr(vuprop.cli, "matrix_from_model",
+                        lambda *a, **k: pytest.fail("built a model matrix"))
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert (out / "mc_matrix.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -138,15 +138,6 @@ def test_scenario_matrix_absolute_columns():
         assert abs(math.fsum(P.columns[:, i]) - 1.0) <= SUM_TOL
 
 
-def test_scenario_matrix_deviation_all_centered_at_zero():
-    g = make_grid(GridSpec((Dim("x", -2, 2, 40), Dim("a", -1, 1, 20, "alpha"))))
-    sc = MeasurementScenario([-1.0, 0.0, 2.0], 0.5, 0.25)
-    P = scenario_matrix(g, sc, convention="deviation")
-    # Every column is the same zero-centered Gaussian.
-    assert np.array_equal(P.columns[:, 0], P.columns[:, 1])
-    assert np.array_equal(P.columns[:, 0], P.columns[:, 2])
-
-
 def test_scenario_matrix_many_columns_all_normalized():
     g = make_grid(GridSpec((Dim("x", -10, 10, 200), Dim("a", -1, 1, 20, "alpha"))))
     sc = MeasurementScenario(np.linspace(-8, 8, 1000), 0.5, 0.25)

@@ -24,7 +24,6 @@ from vuprop import (
     propagate_scenario,
     save_matrix,
     scenario_matrix,
-    shifted_model_matrix,
 )
 from vuprop import grid as grid_module
 from vuprop.distributions import scenario_factors
@@ -36,6 +35,7 @@ from vuprop.errors import (
     NoSupportError,
     SidecarFormatError,
 )
+from vuprop.models import eval_shifted
 
 
 def _grid(lower=-4.0, upper=4.0, count=64):
@@ -120,9 +120,8 @@ def test_build_rejects_non_finite_outputs_anywhere(bad):
     for j in (0, 3, 7):
         outputs = np.arange(8.0)
         outputs[j] = bad
-        for binning in (None, OutputBinning(4, 0.0, 8.0)):
-            with pytest.raises(EvaluationError, match="non-finite model outputs"):
-                build_model_matrix(outputs, 4, binning=binning)
+        with pytest.raises(EvaluationError, match="non-finite model outputs"):
+            build_model_matrix(outputs, 4)
 
 
 def test_build_rejects_bad_inputs():
@@ -333,6 +332,11 @@ def test_build_and_fold_stay_under_24_bytes_per_node():
     assert peak < 24 * g.size
 
 
+def _shifted_matrix(model, grid, ell, K):
+    """Matrix of x -> M(ell + x, alpha) on a grid in deviation coordinates."""
+    return build_model_matrix(eval_shifted(model, grid, ell)[0].ravel(), K, grid=grid)
+
+
 def test_shifted_matrix_matches_absolute_convention():
     # Dyadic parameters so ell + x is exact: shifting the evaluation points
     # must reproduce the absolute-coordinate matrix bit for bit.
@@ -343,7 +347,7 @@ def test_shifted_matrix_matches_absolute_convention():
     g_dev = make_grid(GridSpec((Dim("x", -4, 4, 64), Dim("a", -1, 1, 16, "alpha"))))
     model = builtin("ipsa2d")
     m_abs = matrix_from_model(model, g_abs, 32)
-    m_dev = shifted_model_matrix(model, g_dev, ell, 32)
+    m_dev = _shifted_matrix(model, g_dev, ell, 32)
     assert np.array_equal(m_abs.bin_of, m_dev.bin_of)
     assert m_abs.binning == m_dev.binning
 
@@ -364,7 +368,7 @@ def test_shifted_matrix_bins_unchanged(dims):
     grid = make_grid(GridSpec(dims))
     model = parse_expression("x^2 + 5*sin(3*x)*b + a", [d.name for d in dims])
     for ell in (-1.37, 0.0, 2.9):
-        got = shifted_model_matrix(model, grid, ell, 40)
+        got = _shifted_matrix(model, grid, ell, 40)
         want = _shifted_matrix_full_columns(model, grid, ell, 40)
         assert np.array_equal(got.bin_of, want.bin_of)
         assert got.binning == want.binning

@@ -11,7 +11,7 @@ from vuprop import (
     MeasurementScenario,
     OutputBinning,
     OutputProbabilityMatrix,
-    build_model_matrix,
+    SparseModelMatrix,
     builtin,
     deviation_statistic_matrix,
     gaussian_on_grid,
@@ -115,6 +115,7 @@ def test_summarize_fields_against_direct_formulas():
         p = dev.values[:, i]
         assert s.mean[i] == pytest.approx(p @ c, abs=1e-12)
         assert s.variance[i] == pytest.approx(p @ c**2 - (p @ c) ** 2, abs=1e-10)
+        assert s.variance[i] == pytest.approx(_two_pass_fsum(p, c, s.mean[i]), rel=1e-12)
         assert s.argmax[i] == c[np.argmax(p)]
         lo = np.searchsorted(c, s.ci_lower[i])
         hi = np.searchsorted(c, s.ci_upper[i])
@@ -124,6 +125,33 @@ def test_summarize_fields_against_direct_formulas():
     expect = dev.values.mean(axis=1)
     expect /= math.fsum(expect)
     assert np.allclose(s.global_marginal, expect, atol=1e-12)
+
+
+def _two_pass_fsum(p, c, mean):
+    return math.fsum(p * (c - mean) ** 2)
+
+
+@pytest.mark.parametrize("deviation", ["mode", "alpha-matched"])
+def test_summarize_variance_is_never_negative(deviation):
+    # exp(12 x) puts each column's mass near a delta-y of 1e18, where the
+    # moment difference E[c^2] - mean^2 cancelled to negatives: -2.1e21 and
+    # -1.2e21 with the mode reference, -3.1e58 alpha-matched.
+    grid = make_grid(GridSpec((Dim("x", -4, 4, 200), Dim("a", -1, 1, 20, "alpha"))))
+    model = parse_expression("exp(12*x) + a", ["x", "a"])
+    sc = _scenario(locations=(-3.0, 0.0, 3.5))
+    if deviation == "mode":
+        dev = to_deviations(output_matrix(model, grid, sc, 100),
+                            reference_curve(model, sc.locations))
+    else:
+        dev = deviation_statistic_matrix(model, grid, sc, 100)
+    s = summarize(dev, level=0.9)
+    c = dev.delta_centers
+    assert (s.variance >= 0).all()
+    for i in range(3):
+        p = dev.values[:, i]
+        assert s.mean[i] == pytest.approx(math.fsum(p * c), rel=1e-12)
+        # The second pass around the mean summarize returns, summed exactly.
+        assert s.variance[i] == pytest.approx(_two_pass_fsum(p, c, s.mean[i]), rel=1e-12)
 
 
 def test_summarize_validation():
@@ -234,7 +262,7 @@ def _deviation_statistic_all_stats(model, grid, scenario, K):
     binning = OutputBinning(K if s_max > s_min else 1, s_min, s_max)
     values = np.empty((binning.K, scenario.n_locations))
     for i, s in enumerate(stats):
-        values[:, i] = propagate(build_model_matrix(s, K, grid=grid, binning=binning), base_col)
+        values[:, i] = propagate(SparseModelMatrix(binning.assign(s), binning, grid), base_col)
     return values, binning
 
 
@@ -289,7 +317,7 @@ def _output_matrix_all_outputs(model, grid, scenario, K):
     for i, (ell, g, y) in enumerate(zip(scenario.locations, grids, outputs)):
         mean = np.zeros(grid.ndim)
         mean[xd] = ell
-        matrix = build_model_matrix(y, K, grid=g, binning=binning)
+        matrix = SparseModelMatrix(binning.assign(y), binning, g)
         values[:, i] = propagate(matrix, gaussian_on_grid(g, mean, sigma))
     return values, binning
 
