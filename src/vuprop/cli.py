@@ -269,7 +269,16 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:
     mc_cfg = McConfig(opts["n_samples"], k, cfg.seed, binning)
     out = mc_propagate_many(model, scenario, mc_cfg, grid)
     _write_heatmap(out_dir / "mc_matrix.csv", out.locations, centers, out.values)
-    return {"n_samples": opts["n_samples"], "K": out.binning.K, "L": out.n_locations}
+    below, above = out.clamped
+    lost = below + above
+    if lost.any():
+        i = int(np.argmax(lost))
+        print(f"warning: samples outside the binning [{binning.y_min!r}, {binning.y_max!r}] "
+              f"were clamped into its end bins in {np.count_nonzero(lost)} of "
+              f"{out.n_locations} columns, up to {float(lost[i])!r} of the mass at location "
+              f"{float(out.locations[i])!r}; see clamped_mass in manifest.json", file=sys.stderr)
+    return {"n_samples": opts["n_samples"], "K": out.binning.K, "L": out.n_locations,
+            "clamped_mass": {"below": below.tolist(), "above": above.tolist()}}
 
 
 def _binning_from_csv(path):

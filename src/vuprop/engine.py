@@ -11,10 +11,13 @@ A measurement scenario needs no per-column pass over the grid:
 `propagate_scenario` propagates all L locations in O(N + L * nx * K) time
 (nx x nodes, K bins) and O(N + L * (nx + K)) memory, independent of N * L.
 
+A bin index is stored in 2 bytes (uint16) when K <= 2^16 and in 4 (uint32)
+otherwise; a loaded sidecar's indices are a read-only view of its u32 bytes.
 Every loop over the N nodes runs in blocks of about `grid.BLOCK` consecutive
-nodes, so the build holds N outputs, N int64 bin indices and one block of
-temporaries, and the fold holds the N indices, its nx * K operator and one
-block.
+nodes, so the build holds N outputs, N bin indices and one block of
+temporaries, and the fold holds the N indices, one block and its (L, K)
+result: each block of x rows is folded into the result as it is made, so the
+nx * K operator is never held whole.
 """
 
 from __future__ import annotations
@@ -81,14 +84,15 @@ class OutputBinning:
 
         The values must be finite; every caller checks. Clamped before the
         integer cast, so a huge finite value lands in the end bin nearest it;
-        of the callers only `mc --fixed-binning-from` can pass values outside
-        [y_min, y_max]. Works in place in one block-sized buffer; y is never
-        written."""
+        of the callers only `mc` can pass values outside [y_min, y_max].
+        Indices are uint16 when K <= 2^16, else uint32. Works in place in
+        one block-sized buffer; y is never written."""
         y = np.asarray(y, float)
+        dtype = np.uint16 if self.K <= 1 << 16 else np.uint32
         if self.K == 1:
-            return np.zeros(y.shape, dtype=np.int64)
+            return np.zeros(y.shape, dtype=dtype)
         b = (self.y_max - self.y_min) / self.K
-        out = np.empty(y.shape, dtype=np.int64)
+        out = np.empty(y.shape, dtype=dtype)
         flat, flat_out = y.reshape(-1), out.reshape(-1)
         block = grid_module.BLOCK
         buf = np.empty(min(flat.size, block))
@@ -105,7 +109,7 @@ class OutputBinning:
 
 @dataclass(frozen=True)
 class SparseModelMatrix:
-    bin_of: np.ndarray  # (N,) int
+    bin_of: np.ndarray  # (N,) unsigned int, bin index per node
     binning: OutputBinning
     grid: Grid = field(repr=False)
     model_name: str = ""
@@ -124,6 +128,9 @@ class OutputProbabilityMatrix:
     values: np.ndarray  # (K, L)
     binning: OutputBinning
     locations: np.ndarray  # (L,)
+    # (2, L) mass clamped into the end bins from below y_min and above y_max;
+    # None where no value can fall outside the binning
+    clamped: np.ndarray | None = None
 
     @property
     def n_locations(self) -> int:
@@ -191,8 +198,9 @@ def propagate_many(matrix: SparseModelMatrix, P: ProbabilityMatrix) -> OutputPro
 # 2.4.6, one BLAS thread) at N = 1e6, K = 500-5000: the fold costs 10-18 ms
 # while nx * K <= 4 * N, about as much as streaming 2-3 columns (5-7 ms
 # each), so it wins from L = 3 on (L = 2: 16 ms folded, 12-14 ms streamed;
-# L = 4: 16-18 ms folded, 22-32 ms streamed). The cap also bounds the fold's
-# operator A to 4 * N entries, keeping its memory O(N).
+# L = 4: 16-18 ms folded, 22-32 ms streamed). The cap sets that speed
+# crossover only: the fold never holds its whole operator A, so its memory is
+# O(block + L * K) on either side of the cap.
 _FOLD_MIN_L = 3
 _FOLD_MAX_RATIO = 4
 
@@ -208,9 +216,10 @@ def propagate_scenario(
 
     - fold (L >= 3 and nx * K <= 4 * N): the alpha factors and the bin index
       collapse into the operator A[x, k] = sum_alpha w(alpha) [bin(x, alpha)
-      = k] by one weighted bincount per block of whole x rows; then out =
-      (x_block @ A).T, an (L x nx) @ (nx x K) product. Sums run in another
-      order, so results can differ from the column path by a few ULP.
+      = k] by one weighted bincount per block of whole x rows, and each
+      block of A is added into out.T as x_block[:, rows] @ A[rows] before the
+      next is made. Sums run in another order, so results can differ from the
+      column path by a few ULP.
     - stream (otherwise): each column is built from the factors (N transient
       floats) and propagated; bit-identical to the column path.
     """
@@ -229,21 +238,23 @@ def propagate_scenario(
 def _propagate_folded(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:
     # A block holds whole x rows (every alpha node of its x nodes), so each
     # cell of A receives its terms in flat order, as one bincount over N
-    # would add them.
-    nx = f.x_block.shape[1]
+    # would add them. Its rows of A are folded into out at once and dropped.
+    L, nx = f.x_block.shape
     K = matrix.K
     bins = matrix.bin_of.reshape(f.pre.size, nx, f.post.size)
     weights = np.multiply.outer(f.pre, f.post)[:, None, :]
     step = max(1, grid_module.BLOCK // weights.size)
-    A = np.empty((nx, K))
+    out = np.zeros((L, K))
+    product = np.empty((L, K))
     for x0 in range(0, nx, step):
         rows = bins[:, x0:x0 + step]
         index = rows + (K * np.arange(rows.shape[1]))[None, :, None]
-        A[x0:x0 + rows.shape[1]] = np.bincount(
+        A = np.bincount(
             index.ravel(), weights=np.broadcast_to(weights, index.shape).ravel(),
             minlength=index.shape[1] * K,
         ).reshape(-1, K)
-    return (f.x_block @ A).T
+        out += np.matmul(f.x_block[:, x0:x0 + rows.shape[1]], A, out=product)
+    return out.T
 
 
 def _propagate_streamed(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:
@@ -298,10 +309,10 @@ def save_matrix(path, matrix: SparseModelMatrix) -> None:
     header = _MAGIC + struct.pack(
         "<IQQdd", _VERSION, matrix.N, matrix.K, matrix.binning.y_min, matrix.binning.y_max
     )
-    body = matrix.bin_of.astype("<u4").tobytes()
+    body = np.ascontiguousarray(matrix.bin_of, dtype="<u4")  # no copy if already u4
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(body)  # through the buffer protocol: no bytes copy
 
 
 def load_matrix(path, grid: Grid | None = None, model_name: str = "") -> SparseModelMatrix:
@@ -315,14 +326,13 @@ def load_matrix(path, grid: Grid | None = None, model_name: str = "") -> SparseM
         raise SidecarFormatError(f"{path}: truncated header") from None
     if version != _VERSION:
         raise SidecarFormatError(f"{path}: unsupported version {version}")
-    body = blob[40:]
-    if len(body) != 4 * n:
-        raise SidecarFormatError(f"{path}: expected {4 * n} index bytes, got {len(body)}")
+    if len(blob) - 40 != 4 * n:
+        raise SidecarFormatError(f"{path}: expected {4 * n} index bytes, got {len(blob) - 40}")
     try:
         binning = OutputBinning(int(k), y_min, y_max)
     except GridError as exc:
         raise SidecarFormatError(f"{path}: {exc}") from None
-    bin_of = np.frombuffer(body, dtype="<u4").astype(np.int64)
+    bin_of = np.frombuffer(blob, dtype="<u4", offset=40)  # a read-only view, no copy
     if bin_of.size and bin_of.max() >= k:
         raise SidecarFormatError(f"{path}: bin index out of range")
     if grid is not None and grid.size != n:

@@ -98,12 +98,14 @@ def draw_samples(sampler: SamplerSpec, n: int, seed) -> np.ndarray:
         return rng.uniform(lo, hi, size=(n, nd))
     if sampler.kind != "gaussian":
         raise GridError(f"unknown sampler kind {sampler.kind!r}")
-    chunks = []
+    out = np.empty((n, nd))
+    normals = keep = inside = None  # batch buffers, sized by the first batch
     n_accepted = 0
     proposed = 0
     budget = _RETRY_FACTOR * n
     while n_accepted < n:
-        # Oversample mildly so high-acceptance cases finish in one batch.
+        # Oversample mildly so high-acceptance cases finish in one batch. No
+        # later batch is larger than the first.
         need = n - n_accepted
         batch = min(max(need + need // 16 + 1000, 10_000), budget - proposed)
         if batch <= 0:
@@ -112,30 +114,40 @@ def draw_samples(sampler: SamplerSpec, n: int, seed) -> np.ndarray:
                 f"truncated-Gaussian rejection exhausted its budget "
                 f"({proposed} proposals, acceptance rate {rate:.2e})"
             )
-        # Generate and bounds-check one contiguous 1-D block per dimension;
-        # this avoids strided access over a (batch, ndim) layout.
-        cols = []
-        keep = None
+        if normals is None:
+            normals = np.empty((nd, batch))
+            keep, inside = np.empty(batch, bool), np.empty(batch, bool)
+        # Generate and bounds-check one contiguous 1-D block per dimension,
+        # in place; this avoids strided access over a (batch, ndim) layout.
+        cols, kept, hits = normals[:, :batch], keep[:batch], inside[:batch]
         for d in range(nd):
-            col = rng.standard_normal(batch) * sampler.sigma[d] + sampler.mean[d]
-            inside = (col >= lo[d]) & (col <= hi[d])
-            keep = inside if keep is None else (keep & inside)
-            cols.append(col)
+            col = cols[d]
+            rng.standard_normal(out=col)
+            np.multiply(col, sampler.sigma[d], out=col)
+            np.add(col, sampler.mean[d], out=col)
+            if d == 0:
+                np.greater_equal(col, lo[d], out=kept)
+            else:
+                kept &= np.greater_equal(col, lo[d], out=hits)
+            kept &= np.less_equal(col, hi[d], out=hits)
         proposed += batch
-        kept = np.empty((int(np.count_nonzero(keep)), nd))
-        for d in range(nd):
-            kept[:, d] = cols[d][keep]
-        chunks.append(kept)
-        n_accepted += kept.shape[0]
-    accepted = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return accepted[:n]
+        take = min(int(np.count_nonzero(kept)), need)
+        for d in range(nd):  # the first `take` accepted rows, in draw order
+            out[n_accepted:n_accepted + take, d] = cols[d][kept][:take]
+        n_accepted += take
+    return out
 
 
 def mc_propagate(
-    model: ModelFunction, sampler: SamplerSpec, cfg: McConfig
+    model: ModelFunction, sampler: SamplerSpec, cfg: McConfig,
+    clamped: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OutputBinning]:
     """Sample, evaluate, bin, normalize. Returns (probabilities, binning).
-    A non-finite output raises EvaluationError: no binning can place it."""
+    A non-finite output raises EvaluationError: no binning can place it.
+
+    A fixed binning clamps samples outside it into its end bins; clamped, if
+    given (an array of two floats), receives the mass below its y_min and
+    above its y_max."""
     samples = draw_samples(sampler, cfg.n_samples, cfg.seed)
     y = model.raw(*(samples[:, d] for d in range(sampler.ndim)))
     y = np.broadcast_to(y, (cfg.n_samples,))
@@ -151,6 +163,10 @@ def mc_propagate(
     binning = cfg.binning
     if binning is None:
         binning = OutputBinning.spanning(cfg.K, y_min, y_max)
+    if clamped is not None:
+        below = np.count_nonzero(y < binning.y_min) if y_min < binning.y_min else 0
+        above = np.count_nonzero(y > binning.y_max) if y_max > binning.y_max else 0
+        clamped[:] = below / cfg.n_samples, above / cfg.n_samples
     counts = np.bincount(binning.assign(y), minlength=binning.K)
     return counts / cfg.n_samples, binning
 
@@ -164,13 +180,15 @@ def mc_propagate_many(
     """One independent MC run per location, column i keyed location_seed(seed, i).
 
     Deliberately reuses nothing across columns: this is the L * C_MC baseline.
-    A fixed binning is required so the columns share one output axis.
+    A fixed binning is required so the columns share one output axis; the
+    result's `clamped` holds each column's mass below and above it.
     """
     if cfg.binning is None:
         raise GridError("mc_propagate_many needs a fixed OutputBinning so columns share one axis")
     xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
     out = np.empty((cfg.binning.K, scenario.n_locations))
+    clamped = np.empty((2, scenario.n_locations))
     for i, ell in enumerate(scenario.locations):
         mean = np.zeros(grid.ndim)
         mean[xd] = ell
@@ -178,7 +196,7 @@ def mc_propagate_many(
         col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i),
                            cfg.binning, cfg.sort)
         try:
-            out[:, i], _ = mc_propagate(model, sampler, col_cfg)
+            out[:, i], _ = mc_propagate(model, sampler, col_cfg, clamped[:, i])
         except EvaluationError as exc:
             raise EvaluationError(f"location {ell}: {exc}") from None
-    return OutputProbabilityMatrix(out, cfg.binning, scenario.locations.copy())
+    return OutputProbabilityMatrix(out, cfg.binning, scenario.locations.copy(), clamped)

@@ -491,13 +491,14 @@ def _expression_config(tmp_path, name, expression, extra=""):
     return path
 
 
-def test_mc_fixed_binning_puts_huge_outputs_in_the_last_bin(tmp_path):
+def test_mc_fixed_binning_puts_huge_outputs_in_the_last_bin(tmp_path, capsys):
     # exp(100 x) is finite on the whole grid but far above the binning of x:
-    # its mass belongs in the top bin, not the bottom one.
+    # its mass belongs in the top bin, not the bottom one, and is reported.
     prop, mc = tmp_path / "prop", tmp_path / "mc"
     assert main(["propagate", "--config", str(_expression_config(tmp_path, "x.yaml", "x + 0*a")),
                  "--out-dir", str(prop)]) == 0
     config = _expression_config(tmp_path, "exp.yaml", "exp(100*x) + a")
+    capsys.readouterr()
     assert main(["mc", "--config", str(config), "--out-dir", str(mc),
                  "--fixed-binning-from", str(prop / "output_matrix.csv")]) == 0
     locs, _, values = _read_heatmap(mc / "mc_matrix.csv")
@@ -506,6 +507,13 @@ def test_mc_fixed_binning_puts_huge_outputs_in_the_last_bin(tmp_path):
     # above the top edge, 4; the cast to int64 had sent them to bin 0.
     assert values[-1, 2] > 0.99
     assert values[0, 2] == 0.0
+    clamped = json.loads((mc / "manifest.json").read_text())["clamped_mass"]
+    assert clamped["above"][2] > 0.99
+    assert clamped["above"][2] <= values[-1, 2]
+    assert len(clamped["below"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "clamped into its end bins" in err and "at location 1.0" in err
 
 
 def test_mc_fixed_binning_rejects_non_finite_outputs(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -65,7 +66,7 @@ def test_binning_clamps_huge_finite_values_to_the_nearest_end(recwarn):
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
-@pytest.mark.parametrize("K", [1, 2, 10, 500])
+@pytest.mark.parametrize("K", [1, 2, 10, 500, 1 << 16, (1 << 16) + 1])
 def test_binning_assign_in_blocks_is_the_one_shot_formula(block, K, monkeypatch):
     monkeypatch.setattr(grid_module, "BLOCK", block)
     b = OutputBinning(K, -2.0, 3.0)
@@ -81,9 +82,23 @@ def test_binning_assign_in_blocks_is_the_one_shot_formula(block, K, monkeypatch)
     for values, want in ((y, expected), (y.reshape(-1, 1), expected.reshape(-1, 1)),
                          (y[::2], expected[::2])):
         bins = b.assign(values)
-        assert bins.dtype == np.int64
+        # Two bytes a node while every index fits, else four.
+        assert bins.dtype == (np.uint16 if K <= 1 << 16 else np.uint32)
         assert np.array_equal(bins, want)
     assert np.array_equal(y, before)
+    assert b.assign(np.array([b.y_max]))[0] == K - 1
+
+
+def test_invert_round_trip_with_two_byte_indices_at_65536_bins():
+    # K = 2^16 is the largest K with uint16 indices; its last bin is 65535.
+    g = _grid(-1.0, 1.0, 1 << 17)
+    m = matrix_from_model(parse_expression("x", ["x"]), g, 1 << 16)
+    assert m.bin_of.dtype == np.uint16 and int(m.bin_of.max()) == (1 << 16) - 1
+    prior = gaussian_on_grid(g, (0.2,), (0.4,))
+    inv = invert(m, prior)
+    assert len(inv.rows) == 1 << 16
+    assert inv.rows[-1][0].tolist() == [(1 << 17) - 2, (1 << 17) - 1]
+    assert np.allclose(reconstruct_prior(inv), prior.values, rtol=0, atol=1e-15)
 
 
 def test_identity_model_two_bins():
@@ -294,13 +309,18 @@ def test_propagate_scenario_memory_independent_of_locations():
 
 
 def _folded_in_one_bincount(matrix, f):
-    """The fold as one weighted bincount over all N nodes."""
+    """The fold's operator from one weighted bincount over all N nodes,
+    applied over the blocks of x rows that `_propagate_folded` uses."""
     nx, K = f.x_block.shape[1], matrix.K
     shape = (f.pre.size, nx, f.post.size)
     index = matrix.bin_of.reshape(shape) + (K * np.arange(nx))[None, :, None]
     weights = np.broadcast_to(np.multiply.outer(f.pre, f.post)[:, None, :], shape)
-    A = np.bincount(index.ravel(), weights=weights.ravel(), minlength=nx * K)
-    return (f.x_block @ A.reshape(nx, K)).T
+    A = np.bincount(index.ravel(), weights=weights.ravel(), minlength=nx * K).reshape(nx, K)
+    step = max(1, grid_module.BLOCK // (f.pre.size * f.post.size))
+    out = np.zeros((f.x_block.shape[0], K))
+    for x0 in range(0, nx, step):
+        out += f.x_block[:, x0:x0 + step] @ A[x0:x0 + step]
+    return out.T
 
 
 @pytest.mark.parametrize("block", [1, 30, 50, 200, 1 << 16])
@@ -312,24 +332,27 @@ def test_fold_in_blocks_of_x_rows_is_the_one_bincount_fold(block, monkeypatch):
     m = matrix_from_model(parse_expression("sin(2*x) + a*b + x*a", ["a", "x", "b"]), g, 7)
     f = scenario_factors(g, MeasurementScenario([-1.0, 0.3, 2.0, 2.5], 0.7, 0.3))
     assert f.pre.size > 1
-    expected = _folded_in_one_bincount(m, f)
     monkeypatch.setattr(grid_module, "BLOCK", block)
-    assert np.array_equal(_propagate_folded(m, f), expected)
+    assert np.array_equal(_propagate_folded(m, f), _folded_in_one_bincount(m, f))
 
 
-def test_build_and_fold_stay_under_24_bytes_per_node():
-    # N = 1e6: the build holds N outputs, N int64 bins and one block; the fold
-    # the N bins, its nx * K = N operator and one block. No (N, 2) node array
-    # and no N-sized temporary.
+def test_build_under_12_and_fold_under_6_bytes_per_node():
+    # N = 1e6: the build holds N outputs, N two-byte bins and one block; the
+    # fold the N bins, one block and its (L, K) result. No (N, 2) node array,
+    # no nx * K = N operator and no N-sized temporary.
     g = make_grid(GridSpec((Dim("x", -4, 4, 2000), Dim("a", -1, 1, 500, "alpha"))))
     sc = MeasurementScenario(np.linspace(-3.5, 3.5, 50), 0.4, 0.25)
     tracemalloc.start()
     try:
-        propagate_scenario(matrix_from_model(builtin("ipsa2d"), g, 500), sc)
-        _, peak = tracemalloc.get_traced_memory()
+        m = matrix_from_model(builtin("ipsa2d"), g, 500)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        propagate_scenario(m, sc)
+        _, fold_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * g.size
+    assert build_peak < 12 * g.size
+    assert fold_peak < 6 * g.size
 
 
 def _shifted_matrix(model, grid, ell, K):
@@ -438,6 +461,37 @@ def test_sidecar_round_trip(tmp_path):
     assert back.binning == m.binning
     p = gaussian_on_grid(g, (0.0, 0.0), (0.5, 0.3))
     assert np.array_equal(propagate(back, p), propagate(m, p))
+
+
+def test_sidecar_body_is_the_indices_as_little_endian_u4(tmp_path):
+    g = make_grid(GridSpec((Dim("x", -2, 2, 20), Dim("a", -1, 1, 8, "alpha"))))
+    m = matrix_from_model(builtin("bench2d"), g, 16)
+    assert m.bin_of.dtype == np.uint16
+    header = b"VUPM" + struct.pack("<IQQdd", 1, m.N, m.K, m.binning.y_min, m.binning.y_max)
+    path = tmp_path / "m.vupm"
+    save_matrix(path, m)
+    assert path.read_bytes() == header + m.bin_of.astype("<u4").tobytes()
+
+
+def test_loaded_indices_are_a_read_only_view(tmp_path):
+    g = make_grid(GridSpec((Dim("x", -2, 2, 20), Dim("a", -1, 1, 8, "alpha"))))
+    path = tmp_path / "m.vupm"
+    save_matrix(path, matrix_from_model(builtin("bench2d"), g, 16))
+    bin_of = load_matrix(path, grid=g).bin_of
+    assert bin_of.dtype == np.dtype("<u4")
+    assert not bin_of.flags.writeable and not bin_of.flags.owndata
+
+
+@pytest.mark.parametrize("locations", [[0.7, -1.0], np.linspace(-3.0, 3.0, 9)])
+def test_loaded_u4_and_built_u2_indices_propagate_bit_for_bit(tmp_path, locations):
+    # Two locations take the stream branch, nine the fold.
+    g = make_grid(GridSpec((Dim("x", -5, 5, 60), Dim("a", -1, 1, 12, "alpha"))))
+    m = matrix_from_model(builtin("ipsa2d"), g, 30)
+    path = tmp_path / "m.vupm"
+    save_matrix(path, m)
+    back = load_matrix(path, grid=g)
+    sc = MeasurementScenario(locations, 0.5, 0.25)
+    assert np.array_equal(propagate_scenario(back, sc).values, propagate_scenario(m, sc).values)
 
 
 def test_sidecar_bad_magic(tmp_path):

@@ -60,6 +60,39 @@ def test_uniform_and_delta_samplers():
     assert np.all(d == 2.25)
 
 
+def _draw_in_chunks(sampler, n, seed):
+    """Truncated-Gaussian rejection as one list of per-batch chunks, the
+    accepted rows concatenated and cut to n: the reference for the Philox
+    stream and the samples of draw_samples."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    lo, hi = np.array(sampler.bounds).T
+    chunks, n_accepted = [], 0
+    while n_accepted < n:
+        need = n - n_accepted
+        batch = max(need + need // 16 + 1000, 10_000)
+        cols = [rng.standard_normal(batch) * sampler.sigma[d] + sampler.mean[d]
+                for d in range(sampler.ndim)]
+        keep = np.logical_and.reduce([(c >= lo[d]) & (c <= hi[d]) for d, c in enumerate(cols)])
+        chunks.append(np.column_stack([c[keep] for c in cols]))
+        n_accepted += chunks[-1].shape[0]
+    return np.concatenate(chunks)[:n]
+
+
+@pytest.mark.parametrize("mean, batches", [(0.0, 1), (3.7, 2)])
+def test_gaussian_draws_are_the_chunked_rejection_bit_for_bit(mean, batches):
+    # sigma 0.4 on [-4, 4]: about 77 % of the proposals at mean 3.7 are
+    # inside, too few for one batch of n + n/16 + 1000.
+    g = _grid2d()
+    s = gaussian_sampler(g, (mean, 0.0), (0.4, 0.3))
+    n = 50_000
+    p_inside = 0.5 * (1 + math.erf((4 - mean) / (0.4 * math.sqrt(2))))
+    assert (p_inside * (n + n // 16 + 1000) < n) == (batches == 2)
+    for seed in ((5, 0), (5, 3)):
+        got = draw_samples(s, n, seed)
+        assert got.shape == (n, 2)
+        assert np.array_equal(got, _draw_in_chunks(s, n, seed))
+
+
 def test_rejection_budget_exhausted():
     g = make_grid(GridSpec((Dim("x", 0, 1, 5),)))
     s = gaussian_sampler(g, 1e6, 1e-3)  # essentially zero acceptance
@@ -137,6 +170,26 @@ def test_mc_many_columns_independent_seeds():
         McConfig(5000, 15, seed=9, binning=binning),
     )
     assert np.array_equal(out.values[:, 0], solo)
+
+
+def test_mc_many_reports_the_mass_clamped_at_each_edge():
+    # y = x on a binning of [-1, 2]: column i's mass below and above it is
+    # its share of samples with x < -1 and x > 2, counted from the same draws.
+    g = _grid2d()
+    sc = MeasurementScenario([-1.5, 0.5, 2.5], 0.8, 0.25)
+    binning = OutputBinning(6, -1.0, 2.0)
+    out = mc_propagate_many(parse_expression("x + 0*a", ["x", "a"]), sc,
+                            McConfig(4000, 6, seed=2, binning=binning), g)
+    for i, ell in enumerate(sc.locations):
+        x = draw_samples(gaussian_sampler(g, (ell, 0.0), (0.8, 0.25)), 4000,
+                         location_seed(2, i))[:, 0]
+        assert out.clamped[:, i].tolist() == [np.count_nonzero(x < -1.0) / 4000,
+                                              np.count_nonzero(x > 2.0) / 4000]
+    assert out.clamped[0, 0] > 0.5 and out.clamped[1, 2] > 0.5
+    assert out.values[0, 0] >= out.clamped[0, 0] and out.values[-1, 2] >= out.clamped[1, 2]
+    inside = mc_propagate_many(parse_expression("x + 0*a", ["x", "a"]), sc,
+                               McConfig(4000, 6, seed=2, binning=OutputBinning(6, -4, 4)), g)
+    assert not inside.clamped.any()
 
 
 def test_mc_many_streams_distinct_across_seeds():
