@@ -2,7 +2,10 @@
 
 Every subcommand reads one YAML run-config, writes CSVs and a manifest.json
 under --out-dir, and is deterministic given (config, seed) apart from
-wall-clock fields. Exit codes: 0 success, 1 runtime error, 2 config error.
+wall-clock fields, for one BLAS build, kernel and thread count: the fold's
+BLAS product moves last digits (1,276 of prop-wide's 50,000 output cells
+between 1 and 2 OpenBLAS threads, 9,445-26,321 between kernels; README).
+Exit codes: 0 success, 1 runtime error, 2 config error.
 """
 
 from __future__ import annotations
@@ -65,13 +68,13 @@ def _joined(table):
         yield b",".join(row.tolist()).decode()
 
 
-def _write_output_and_ipsa(out_dir, out, ipsa):
-    """output_matrix.csv and ipsa_matrix.csv, the bytes _write_heatmap writes.
-    Every ipsa column is its output column moved down whole rows, so each
-    probability is formatted once for both files."""
-    table = repr_table(out.values)
-    _write_heatmap_rows(out_dir / "output_matrix.csv", out.locations, out.binning.centers,
-                        _joined(table))
+def _write_ipsa(out_dir, ipsa, out=None):
+    """ipsa_matrix.csv and, given the output matrix whose columns ipsa holds,
+    output_matrix.csv, from one repr table: the bytes _write_heatmap writes."""
+    table = repr_table(ipsa.values)
+    if out is not None:
+        _write_heatmap_rows(out_dir / "output_matrix.csv", out.locations, out.binning.centers,
+                            _joined(table))
     _write_heatmap_rows(out_dir / "ipsa_matrix.csv", ipsa.locations, ipsa.delta_centers,
                         _ipsa_bodies(table, ipsa))
 
@@ -80,12 +83,11 @@ _GATHER_CELLS = 1 << 14  # cells of ipsa_matrix.csv gathered at a time
 
 
 def _ipsa_bodies(table, ipsa):
-    """Rows of ipsa_matrix.csv gathered from the output matrix's repr table:
-    column i holds output bin k on row row_offset[i] + k and 0.0 elsewhere
-    (`ipsa.to_deviations`). Rows are gathered in blocks of about
-    _GATHER_CELLS cells, one fancy index per block."""
+    """Rows of ipsa_matrix.csv, gathered from the repr table of ipsa.values in
+    blocks of about _GATHER_CELLS cells: column i holds its bin k on row
+    row_offset[i] + k and 0.0 elsewhere (`ipsa.IpsaMatrix`)."""
     K, L = table.shape
-    n_rows = ipsa.values.shape[0]
+    n_rows = ipsa.delta_centers.size
     cols = np.arange(L)
     step = max(1, _GATHER_CELLS // L)
     for j0 in range(0, n_rows, step):
@@ -189,20 +191,24 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
     xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     if scenario.sigma_ell < x_dim.step / 10:
-        print(
-            f"warning: sigma_ell = {scenario.sigma_ell} is below a tenth of the "
-            f"grid step {x_dim.step}; columns degenerate toward deltas",
-            file=sys.stderr,
-        )
+        print(f"warning: sigma_ell = {scenario.sigma_ell} is below a tenth of the grid step "
+              f"{x_dim.step}; columns degenerate toward deltas", file=sys.stderr)
     if opts["deviation_reference"] == "alpha-matched":
-        ipsa = deviation_statistic_matrix(model, grid, scenario, opts["k"])
-        _write_heatmap(out_dir / "ipsa_matrix.csv", ipsa.locations,
-                       ipsa.delta_centers, ipsa.values)
+        out, ipsa = None, deviation_statistic_matrix(model, grid, scenario, opts["k"])
     else:
         out = output_matrix(model, grid, scenario, opts["k"],
                             shared_matrix=opts["shared_matrix"])
-        ipsa = to_deviations(out, reference_curve(x_first(model, xd), scenario.locations))
-        _write_output_and_ipsa(out_dir, out, ipsa)
+        y_ref = reference_curve(x_first(model, xd), scenario.locations)
+        b = out.binning  # references within K bins of its range: <= 4K + 1 delta-y rows
+        reach = b.K * b.width
+        far = np.flatnonzero((y_ref < b.y_min - reach) | (y_ref > b.y_max + reach))
+        if far.size:
+            i = int(far[0])
+            raise VupropError(f"reference {float(y_ref[i])!r} at location "
+                              f"{float(scenario.locations[i])!r} lies more than K = {b.K} bins "
+                              f"outside the output range [{b.y_min!r}, {b.y_max!r}]")
+        ipsa = to_deviations(out, y_ref)
+    _write_ipsa(out_dir, ipsa, out)
     summary = summarize(ipsa, opts["level"], scenario.location_weights())
     _write_rows(
         out_dir / "summary.csv",
@@ -212,7 +218,7 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
     )
     _write_rows(out_dir / "global_marginal.csv", ["delta_y", "probability"],
                 zip(summary.global_axis, summary.global_marginal))
-    return {"K": ipsa.values.shape[0], "L": ipsa.n_locations,
+    return {"K": ipsa.delta_centers.size, "L": ipsa.n_locations,
             "reference": opts["deviation_reference"]}
 
 

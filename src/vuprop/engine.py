@@ -198,9 +198,9 @@ def propagate_many(matrix: SparseModelMatrix, P: ProbabilityMatrix) -> OutputPro
 # 2.4.6, one BLAS thread) at N = 1e6, K = 500-5000: the fold costs 10-18 ms
 # while nx * K <= 4 * N, about as much as streaming 2-3 columns (5-7 ms
 # each), so it wins from L = 3 on (L = 2: 16 ms folded, 12-14 ms streamed;
-# L = 4: 16-18 ms folded, 22-32 ms streamed). The cap sets that speed
-# crossover only: the fold never holds its whole operator A, so its memory is
-# O(block + L * K) on either side of the cap.
+# L = 4: 16-18 ms folded, 22-32 ms streamed). The cap also bounds the fold's
+# block of A, min(nx, BLOCK // n_alpha) * K cells, by nx * K <= 4 * N: past it,
+# a 1-D grid at K = 500 would fold 2^16 * 500 cells (262 MB) at a time.
 _FOLD_MIN_L = 3
 _FOLD_MAX_RATIO = 4
 

@@ -28,14 +28,15 @@ from .models import ModelFunction, _eval_broadcast, eval_at_locations, eval_shif
 
 @dataclass(frozen=True)
 class IpsaMatrix:
-    """Deviation probabilities p(delta-y | location) on one shared axis."""
+    """Deviation probabilities p(delta-y | location) on one shared axis: bin k
+    of column i is row row_offset[i] + k, and other rows have no mass."""
 
-    values: np.ndarray  # (K, L)
-    delta_centers: np.ndarray  # (K,) common delta-y bin centers
+    values: np.ndarray  # (K, L) each location's output bins
+    delta_centers: np.ndarray  # (n_rows,) common delta-y bin centers
     bin_width: float
     y_ref: np.ndarray  # (L,) reference curve
     locations: np.ndarray  # (L,)
-    row_offset: np.ndarray | None = None  # (L,) row of output bin 0; None if not re-binned
+    row_offset: np.ndarray  # (L,) int64
 
     @property
     def n_locations(self) -> int:
@@ -147,7 +148,7 @@ def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
     """Shift each column's axis by its reference value onto a common uniform
     delta-y axis of the same bin width, starting at lo = min(centers[0] - y_ref).
     Column i moves as a whole, down row_offset[i] = round((centers[0] - y_ref[i]
-    - lo) / b) rows, bit for bit with +0.0 elsewhere, so no bins merge."""
+    - lo) / b) rows, so no bins merge. The columns are out's own values."""
     y_ref = np.atleast_1d(np.asarray(y_ref, float))
     if y_ref.size != out.n_locations:
         raise GridError(
@@ -157,11 +158,8 @@ def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
     first = out.binning.centers[0] - y_ref
     lo = float(first.min())
     row_offset = np.round((first - lo) / b).astype(np.int64)
-    K, L = out.values.shape
-    values = np.zeros((int(row_offset.max()) + K, L))
-    values[np.arange(K)[:, None] + row_offset, np.arange(L)] = out.values
-    common = lo + np.arange(values.shape[0]) * b
-    return IpsaMatrix(values, common, b, y_ref, out.locations.copy(), row_offset)
+    common = lo + np.arange(int(row_offset.max()) + out.binning.K) * b
+    return IpsaMatrix(out.values, common, b, y_ref, out.locations.copy(), row_offset)
 
 
 def _shortest_interval(masses: np.ndarray, level: float) -> tuple[int, int]:
@@ -189,8 +187,8 @@ def _shortest_interval(masses: np.ndarray, level: float) -> tuple[int, int]:
 
 
 def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
-    """Per-location moments, argmax and confidence interval, plus the
-    location-weighted global marginal."""
+    """Per-location moments, argmax and confidence interval over each column's
+    own K bins, plus the location-weighted global marginal on the delta-y axis."""
     if not 0.0 < level < 1.0:
         raise GridError(f"confidence level must be in (0, 1), got {level}")
     L = ipsa.n_locations
@@ -200,31 +198,28 @@ def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
         weights = np.asarray(weights, float)
         if weights.shape != (L,):
             raise GridError(f"weights need length {L}")
-    c = ipsa.delta_centers
-    mean = ipsa.values.T @ c
-    argmax = c[np.argmax(ipsa.values, axis=0)]
-    # Column i holds mass on its K rows from offset[i] on, +0.0 elsewhere.
-    offset = np.zeros(L, np.int64) if ipsa.row_offset is None else ipsa.row_offset
-    K = ipsa.values.shape[0] - int(offset.max())
-    variance = np.empty(L)
+    p = ipsa.values
+    rows = np.arange(p.shape[0])[:, None] + ipsa.row_offset
+    c = ipsa.delta_centers[rows]  # (K, L): each column's own centers
+    mean = np.einsum("kl,kl->l", p, c)
+    # Two-pass variance (Chan, Golub & LeVeque 1983): a sum of non-negative
+    # terms, where E[c^2] - mean^2 can cancel to a negative.
+    d = c - mean
+    variance = np.einsum("kl,kl->l", p, d * d)
+    argmax = c[np.argmax(p, axis=0), np.arange(L)]
     ci_lo = np.empty(L)
     ci_hi = np.empty(L)
     for i in range(L):
-        # Two-pass variance (Chan, Golub & LeVeque 1983): a sum of
-        # non-negative terms, where E[c^2] - mean^2 can cancel to a negative.
-        rows = slice(offset[i], offset[i] + K)
-        d = c[rows] - mean[i]
-        variance[i] = ipsa.values[rows, i] @ (d * d)
-        lo, hi = _shortest_interval(ipsa.values[:, i], level)
-        ci_lo[i] = c[lo]
-        ci_hi[i] = c[hi]
-    marginal = ipsa.values @ weights
+        lo, hi = _shortest_interval(p[:, i], level)
+        ci_lo[i] = c[lo, i]
+        ci_hi[i] = c[hi, i]
+    marginal = np.bincount(rows.ravel(), weights=(p * weights).ravel(),
+                           minlength=ipsa.delta_centers.size)
     total = math.fsum(marginal)
     if total > 0:
         marginal = marginal / total
-    return SummaryFields(
-        ipsa.locations.copy(), mean, variance, argmax, ci_lo, ci_hi, level, c.copy(), marginal
-    )
+    return SummaryFields(ipsa.locations.copy(), mean, variance, argmax, ci_lo, ci_hi, level,
+                         ipsa.delta_centers.copy(), marginal)
 
 
 def deviation_statistic_matrix(
@@ -244,10 +239,12 @@ def deviation_statistic_matrix(
 
     def evaluate(ell: float) -> tuple[Grid, np.ndarray]:
         shifted, ref = eval_shifted(model, grid, ell)
-        return grid, (shifted - ref).ravel()
+        buffer = shifted if shifted.flags.writeable else None  # the model's own, if writable
+        return grid, np.subtract(shifted, ref, out=buffer).ravel()
 
     values, binning = _binned_sweep(scenario.locations, K, evaluate,
                                     lambda ell, g: base_col)
-    y_ref = np.zeros(scenario.n_locations)  # statistic is already a deviation
-    return IpsaMatrix(values, binning.centers, binning.width, y_ref,
-                      scenario.locations.copy())
+    L = scenario.n_locations
+    # The statistic is already a deviation: zero references, no shift.
+    return IpsaMatrix(values, binning.centers, binning.width, np.zeros(L),
+                      scenario.locations.copy(), np.zeros(L, np.int64))

@@ -63,7 +63,6 @@ class McConfig:
     K: int
     seed: int | tuple = 0  # run seed, or a location_seed pair
     binning: OutputBinning | None = None  # fixed binning; None = own range
-    sort: bool = False  # sort-then-bin instead of direct binning
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -158,8 +157,6 @@ def mc_propagate(
         raise EvaluationError(f"model {model.name!r} produced "
                               f"{np.count_nonzero(~np.isfinite(y))} non-finite outputs "
                               f"in {cfg.n_samples} samples")
-    if cfg.sort:
-        y = np.sort(y)
     binning = cfg.binning
     if binning is None:
         binning = OutputBinning.spanning(cfg.K, y_min, y_max)
@@ -193,8 +190,7 @@ def mc_propagate_many(
         mean = np.zeros(grid.ndim)
         mean[xd] = ell
         sampler = gaussian_sampler(grid, mean, sigma)
-        col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i),
-                           cfg.binning, cfg.sort)
+        col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i), cfg.binning)
         try:
             out[:, i], _ = mc_propagate(model, sampler, col_cfg, clamped[:, i])
         except EvaluationError as exc:

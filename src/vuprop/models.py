@@ -347,7 +347,7 @@ def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarr
     (n_pre, 1, n_post)."""
     shifted = _eval_broadcast(model, grid, grid.axes[grid.spec.x_index()] + ell)
     ref = _eval_broadcast(model, grid, np.array([float(ell)]))
-    if not (np.isfinite(shifted).all() and np.isfinite(ref).all()):
+    if not all(math.isfinite(y.min()) and math.isfinite(y.max()) for y in (shifted, ref)):
         raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
     return shifted, ref
 

@@ -61,7 +61,7 @@ def test_small_sweep_rows_and_phases():
     assert vup.min_s <= vup.median_s <= vup.max_s
     assert set(vup.breakdown) == {"matrix_build_s", "pdf_build_s", "propagate_s"}
     mc = result.lookup("mc", ns[0], 4)
-    assert set(mc.breakdown) == {"sample_s", "eval_s", "sortbin_s"}
+    assert set(mc.breakdown) == {"sample_s", "eval_s", "bin_s"}
 
 
 def test_assert_complexity_reports_from_synthetic_rows():

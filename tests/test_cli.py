@@ -7,12 +7,14 @@ import pytest
 import yaml
 
 from vuprop import grid as grid_module
-from vuprop.cli import _write_heatmap, _write_output_and_ipsa, main
+from vuprop.cli import _write_heatmap, _write_ipsa, main
 from vuprop.config import RunConfig
 from vuprop.engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model
 from vuprop.grid import make_grid
-from vuprop.ipsa import output_matrix, reference_curve, to_deviations
+from vuprop.ipsa import deviation_statistic_matrix, output_matrix, reference_curve, to_deviations
 from vuprop.mc import McConfig, mc_propagate_many
+
+from ipsa_dense import dense_values
 
 
 CONFIG = """
@@ -322,9 +324,22 @@ def test_ipsa_heatmaps_bytes_match_csv_writer(tmp_path, shared):
     om = output_matrix(model, make_grid(cfg.grid_spec()), scenario, 40, shared_matrix=shared)
     ipsa = to_deviations(om, reference_curve(model, scenario.locations))
     _write_heatmap_csv(tmp_path / "om.csv", om.locations, om.binning.centers, om.values)
-    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
+    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers,
+                       dense_values(ipsa))
     assert (out / "output_matrix.csv").read_bytes() == (tmp_path / "om.csv").read_bytes()
     assert (out / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
+
+
+def test_alpha_matched_ipsa_heatmap_bytes_match_csv_writer(tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(_with_output(CONFIG, "deviation_reference: alpha-matched"))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+    cfg = RunConfig.load(config)
+    ipsa = deviation_statistic_matrix(cfg.model(), make_grid(cfg.grid_spec()), cfg.scenario(), 40)
+    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
+    assert (out / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
+    assert not (out / "output_matrix.csv").exists()
 
 
 def test_ipsa_writer_gathers_half_bin_ties_and_negative_zero(tmp_path):
@@ -333,9 +348,10 @@ def test_ipsa_writer_gathers_half_bin_ties_and_negative_zero(tmp_path):
     values = np.array([[0.1, 0.1, 0.1], [0.2, 1e16, -0.0], [0.3, 5e-324, 0.5], [0.4, 1 / 3, 0.4]])
     out = OutputProbabilityMatrix(values, OutputBinning(4, 0.0, 4.0), np.array([0.0, 1.0, 2.0]))
     ipsa = to_deviations(out, [0.0, 0.5, 0.5])
-    _write_output_and_ipsa(tmp_path, out, ipsa)
+    _write_ipsa(tmp_path, ipsa, out)
     _write_heatmap_csv(tmp_path / "om.csv", out.locations, out.binning.centers, out.values)
-    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
+    _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers,
+                       dense_values(ipsa))
     assert (tmp_path / "output_matrix.csv").read_bytes() == (tmp_path / "om.csv").read_bytes()
     assert (tmp_path / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
     assert b",-0.0" in (tmp_path / "ipsa_matrix.csv").read_bytes()
@@ -650,6 +666,27 @@ def test_l_values_without_ratio_L_fail_before_the_sweep(tmp_path, capsys, monkey
     monkeypatch.setattr(vuprop.cli, "run_sweep", lambda *a, **k: pytest.fail("swept"))
     assert _run_with(tmp_path, "bench", ("seed",), 7, ["--l-values", "1,2"]) == 2
     assert "--l-values: the complexity checks need L = 1 and L = 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [12, 20])
+def test_ipsa_reference_far_outside_the_output_range_is_a_runtime_error(tmp_path, capsys, rate):
+    # x in [-4, 4]: the reference exp(rate * 4.6) lies far above every output.
+    # Re-binned, exp(12*x) + a took 170,375 delta-y rows and exp(20*x) + a
+    # asked for 24,280,262.
+    config = tmp_path / "far.yaml"
+    config.write_text(yaml.safe_dump({
+        "model": {"expression": f"exp({rate}*x) + a", "variables": ["x", "a"]},
+        "scenario": {"locations": [-3.0, 0.0, 4.6], "sigma_ell": 0.4, "sigma_alpha": 0.25},
+        "grid": {"dims": [{"name": "x", "lower": -4.0, "upper": 4.0, "count": 200},
+                          {"name": "a", "lower": -1.0, "upper": 1.0, "count": 20,
+                           "role": "alpha"}]},
+        "output": {"k": 100},
+    }))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "at location 4.6 lies more than K = 100 bins outside the output range" in err
+    assert not (out / "ipsa_matrix.csv").exists()
 
 
 def test_ipsa_reference_at_a_pole_is_a_runtime_error(tmp_path, capsys):

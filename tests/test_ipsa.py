@@ -27,6 +27,8 @@ from vuprop.distributions import scenario_sigma
 from vuprop.ipsa import _shortest_interval
 from vuprop.errors import GridError
 
+from ipsa_dense import dense_values
+
 
 def _grid(nx=160, na=40):
     return make_grid(GridSpec((Dim("x", -5, 5, nx), Dim("a", -1, 1, na, "alpha"))))
@@ -79,13 +81,14 @@ def test_to_deviations_preserves_mass_and_shifts_mean():
     out = output_matrix(model, _grid(), sc, 80)
     y_ref = reference_curve(model, sc.locations)
     dev = to_deviations(out, y_ref)
+    dense = dense_values(dev)
     assert dev.bin_width == out.binning.width
     for i in range(3):
-        assert math.fsum(dev.values[:, i]) == pytest.approx(
+        assert math.fsum(dense[:, i]) == pytest.approx(
             math.fsum(out.values[:, i]), abs=1e-12
         )
         mean_abs = out.values[:, i] @ out.binning.centers
-        mean_dev = dev.values[:, i] @ dev.delta_centers
+        mean_dev = dense[:, i] @ dev.delta_centers
         # Re-binning moves each center by at most half a bin.
         assert mean_dev == pytest.approx(mean_abs - y_ref[i], abs=out.binning.width)
 
@@ -111,8 +114,9 @@ def test_summarize_fields_against_direct_formulas():
     dev = to_deviations(out, reference_curve(model, sc.locations))
     s = summarize(dev, level=0.9)
     c = dev.delta_centers
+    dense = dense_values(dev)
     for i in range(3):
-        p = dev.values[:, i]
+        p = dense[:, i]
         assert s.mean[i] == pytest.approx(p @ c, abs=1e-12)
         assert s.variance[i] == pytest.approx(p @ c**2 - (p @ c) ** 2, abs=1e-10)
         assert s.variance[i] == pytest.approx(_two_pass_fsum(p, c, s.mean[i]), rel=1e-12)
@@ -122,7 +126,7 @@ def test_summarize_fields_against_direct_formulas():
         assert math.fsum(p[lo:hi + 1]) >= 0.9 - 1e-12
     assert math.fsum(s.global_marginal) == pytest.approx(1.0, abs=1e-9)
     # Uniform weights: the marginal is the row mean, renormalized.
-    expect = dev.values.mean(axis=1)
+    expect = dense.mean(axis=1)
     expect /= math.fsum(expect)
     assert np.allclose(s.global_marginal, expect, atol=1e-12)
 
@@ -148,7 +152,7 @@ def test_summarize_variance_is_never_negative(deviation):
     c = dev.delta_centers
     assert (s.variance >= 0).all()
     for i in range(3):
-        p = dev.values[:, i]
+        p = dense_values(dev)[:, i]
         assert s.mean[i] == pytest.approx(math.fsum(p * c), rel=1e-12)
         # The second pass around the mean summarize returns, summed exactly.
         assert s.variance[i] == pytest.approx(_two_pass_fsum(p, c, s.mean[i]), rel=1e-12)
@@ -375,10 +379,12 @@ def _is_shift(column, source, offset):
 
 def _check_row_offsets(out, ipsa):
     K = out.values.shape[0]
-    assert ipsa.row_offset.shape == (out.n_locations,)
-    assert ipsa.row_offset.min() == 0 and ipsa.values.shape[0] == ipsa.row_offset.max() + K
+    assert ipsa.values is out.values  # the output matrix's own columns, not a copy
+    assert ipsa.row_offset.shape == (out.n_locations,) and ipsa.row_offset.dtype == np.int64
+    assert ipsa.row_offset.min() == 0 and ipsa.delta_centers.size == ipsa.row_offset.max() + K
+    dense = dense_values(ipsa)
     for i, offset in enumerate(ipsa.row_offset.tolist()):
-        assert _is_shift(ipsa.values[:, i], out.values[:, i], offset)
+        assert _is_shift(dense[:, i], out.values[:, i], offset)
         # Each bin lands within half a bin of its exact deviation.
         exact = out.binning.centers - ipsa.y_ref[i]
         assert np.abs(ipsa.delta_centers[offset:offset + K] - exact).max() <= (
@@ -416,11 +422,75 @@ def test_to_deviations_moves_half_bin_ties_and_negative_zero_whole():
     ipsa = to_deviations(out, [0.0, 0.5, 0.5])
     assert ipsa.row_offset.tolist() == [0, 0, 0]
     assert ipsa.delta_centers.tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert ipsa.values[:, 0].tolist() == [0.1, 0.2, 0.3, 0.4]
-    assert np.signbit(ipsa.values[1, 2]) and np.signbit(ipsa.values).sum() == 1
+    dense = dense_values(ipsa)
+    assert dense[:, 0].tolist() == [0.1, 0.2, 0.3, 0.4]
+    assert np.signbit(dense[1, 2]) and np.signbit(dense).sum() == 1
     _check_row_offsets(out, ipsa)
 
 
 def test_deviation_statistic_matrix_has_no_row_offsets():
-    sc = _scenario()
-    assert deviation_statistic_matrix(builtin("ipsa2d"), _grid(40, 10), sc, 30).row_offset is None
+    dev = deviation_statistic_matrix(builtin("ipsa2d"), _grid(40, 10), _scenario(), 30)
+    assert dev.row_offset.dtype == np.int64 and dev.row_offset.tolist() == [0, 0, 0]
+    assert dev.delta_centers.size == dev.values.shape[0] == 30
+
+
+# --- summarize on the (K, L) columns against the dense formulas --------------
+
+def _dense_summary(ipsa, level, weights):
+    """The summary fields computed on the dense (n_rows, L) scatter."""
+    c = ipsa.delta_centers
+    dense = dense_values(ipsa)
+    mean = dense.T @ c
+    variance = np.array([col @ (c - m) ** 2 for col, m in zip(dense.T, mean)])
+    argmax = c[np.argmax(dense, axis=0)]
+    ci = [_shortest_interval(col, level) for col in dense.T]
+    marginal = dense @ weights
+    return mean, variance, argmax, c[[lo for lo, _ in ci]], c[[hi for _, hi in ci]], (
+        marginal / math.fsum(marginal))
+
+
+@pytest.mark.parametrize("deviation", ["mode", "alpha-matched"])
+def test_summarize_matches_the_dense_formulas(deviation):
+    model = builtin("ipsa2d")
+    sc = _scenario(locations=np.linspace(-3.5, 3.5, 9))
+    if deviation == "mode":
+        dev = to_deviations(output_matrix(model, _grid(), sc, 80),
+                            reference_curve(model, sc.locations))
+        assert dev.row_offset.max() > 0
+    else:
+        dev = deviation_statistic_matrix(model, _grid(), sc, 80)
+    weights = np.linspace(1.0, 2.0, 9)
+    s = summarize(dev, 0.9, weights)
+    mean, variance, argmax, ci_lo, ci_hi, marginal = _dense_summary(dev, 0.9, weights)
+    assert np.array_equal(s.argmax, argmax)
+    assert np.array_equal(s.ci_lower, ci_lo) and np.array_equal(s.ci_upper, ci_hi)
+    assert np.array_equal(s.global_axis, dev.delta_centers)
+    scale = max(1.0, float(np.max(variance + mean ** 2)))
+    assert np.abs(s.mean - mean).max() <= 1e-12 * scale
+    assert np.abs(s.variance - variance).max() <= 1e-12 * scale
+    assert np.abs(s.global_marginal - marginal).max() <= 1e-12
+
+
+def test_summarize_memory_does_not_grow_with_the_reference_spread():
+    # K = 100, L = 20, offsets up to 5e4 rows: the dense (n_rows, L) scatter
+    # would take 8 MB; the columns and their centers take K * L cells, and the
+    # delta-y axis and the marginal n_rows each.
+    K, L = 100, 20
+    binning = OutputBinning(K, 0.0, 1.0)
+    rng = np.random.default_rng(3)
+    values = rng.random((K, L))
+    values /= values.sum(axis=0)
+    out = OutputProbabilityMatrix(values, binning, np.arange(L, dtype=float))
+    peaks = {}
+    for spread in (10, 50_000):
+        y_ref = -binning.width * np.linspace(0, spread, L)
+        tracemalloc.start()
+        try:
+            dev = to_deviations(out, y_ref)
+            summarize(dev, 0.9)
+            _, peaks[spread] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dev.row_offset.max() == spread
+    n_rows = 50_000 + K
+    assert peaks[50_000] - peaks[10] < 6 * 8 * n_rows < 8 * n_rows * L / 3

@@ -112,15 +112,6 @@ def test_mc_propagate_normalized_own_range():
     assert binning.K == 30
 
 
-def test_mc_sort_mode_identical_histogram():
-    g = _grid2d()
-    s = gaussian_sampler(g, (0.0, 0.0), (1.0, 0.4))
-    p1, b1 = mc_propagate(builtin("bench2d"), s, McConfig(20_000, 25, seed=3))
-    p2, b2 = mc_propagate(builtin("bench2d"), s, McConfig(20_000, 25, seed=3, sort=True))
-    assert b1 == b2
-    assert np.array_equal(p1, p2)
-
-
 def test_mc_delta_all_in_one_bin():
     g = make_grid(GridSpec((Dim("x", -4, 4, 8),)))
     probs, binning = mc_propagate(

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from vuprop import Dim, GridSpec, builtin, eval_on_grid, make_grid, parse_expression
 from vuprop import grid as grid_module
 from vuprop.errors import EvaluationError, ExpressionError
-from vuprop.models import eval_ast, eval_at_locations, eval_shifted, parse_ast, pretty, x_first
+from vuprop.models import (
+    ModelFunction, eval_ast, eval_at_locations, eval_shifted, parse_ast, pretty, x_first,
+)
 
 
 def test_builtins():
@@ -216,6 +218,23 @@ def test_eval_shifted_errors():
         eval_shifted(parse_expression("1/x + a", ["x", "a"]), g, 0.0)  # 1/ell
     with pytest.raises(EvaluationError, match="arity"):
         eval_shifted(parse_expression("x", ["x"]), g, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["shifted", "ref"])
+def test_eval_shifted_rejects_non_finite_outputs_in_either_part(bad, where):
+    # One bad value, at one shifted node or at the location itself.
+    g = make_grid(GridSpec((Dim("x", -1, 1, 4), Dim("a", -1, 1, 3, "alpha"))))
+    ell = 0.25
+    at = g.axes[0][2] + ell if where == "shifted" else ell
+
+    def fn(x, a):
+        return np.where(x == at, bad, x) + a
+
+    with pytest.raises(EvaluationError, match=r"non-finite on shifted grid at ell=0\.25"):
+        eval_shifted(ModelFunction("bad", 2, fn), g, ell)
+    finite = ModelFunction("ok", 2, lambda x, a: x + a)
+    assert all(np.isfinite(y).all() for y in eval_shifted(finite, g, ell))
 
 
 def test_x_first_moves_the_x_input_to_the_front():
