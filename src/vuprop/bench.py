@@ -8,15 +8,15 @@ are about ratios, never absolute seconds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import MeasurementScenario, scenario_factors, scenario_sigma
+from .distributions import MeasurementScenario, scenario_factors
 from .engine import OutputBinning, matrix_from_model, propagate_scenario
 from .errors import GridError
 from .grid import Dim, Grid, GridSpec, make_grid
-from .mc import McConfig, draw_samples, gaussian_sampler, location_seed, mc_propagate
+from .mc import McConfig, draw_samples, location_sampler, location_seed, mc_propagate
 from .models import ModelFunction
 
 
@@ -119,22 +119,16 @@ def _vup_row(model, grid: Grid, scenario, K, repetitions) -> BenchRow:
 
 
 def _mc_row(model, grid: Grid, scenario, K, repetitions, seed) -> BenchRow:
-    xd = grid.spec.x_index()
-    sigma = scenario_sigma(grid, scenario)
     n_samples = grid.size
-
-    def sampler_at(ell):
-        mean = np.zeros(grid.ndim)
-        mean[xd] = ell
-        return gaussian_sampler(grid, mean, sigma)
 
     def full():
         for idx, ell in enumerate(scenario.locations):
-            mc_propagate(model, sampler_at(ell), McConfig(n_samples, K, location_seed(seed, idx)))
+            mc_propagate(model, location_sampler(grid, scenario, ell),
+                         McConfig(n_samples, K, location_seed(seed, idx)))
 
     med, lo, hi = _timed(full, repetitions)
     # Phase breakdown measured once on the first location.
-    sampler = sampler_at(scenario.locations[0])
+    sampler = location_sampler(grid, scenario, scenario.locations[0])
     sample = _timed(lambda: draw_samples(sampler, n_samples, seed), max(1, repetitions // 2))
     samples = draw_samples(sampler, n_samples, seed)
     eval_t = _timed(lambda: model.raw(*(samples[:, d] for d in range(grid.ndim))),

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .bench import Thresholds, assert_complexity, run_sweep
 from .config import RunConfig
+from .distributions import TRUNCATION_SIGMAS
 from .engine import (
     OutputBinning,
     load_matrix,
@@ -242,22 +243,16 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
                                     "expectation": res.expectation}
         gamma_rows.extend(zip(res.v_grid, res.gamma))
     _write_rows(out_dir / "gamma.csv", ["v", "gamma"], sorted(set(gamma_rows)))
-    dev_grid = _deviation_grid(grid, scenario)
+    half = TRUNCATION_SIGMAS * scenario.sigma_ell  # deviation coordinates: +-half in x
+    dims = list(grid.spec.dims)
+    dims[xd] = replace(x_dim, lower=-half, upper=half)
+    dev_grid = make_grid(GridSpec(tuple(dims)))
     _write_rows(
         out_dir / "delta_sq.csv", ["ell", "delta_sq"],
         ((ell, local_square_deviation(model, float(ell), scenario, dev_grid))
          for ell in scenario.locations),
     )
     return {"integrated": results}
-
-
-def _deviation_grid(grid, scenario):
-    """(x, alpha) grid in deviation coordinates, +-4 sigma_ell in x."""
-    dims = list(grid.spec.dims)
-    xd = grid.spec.x_index()
-    half = 4 * scenario.sigma_ell
-    dims[xd] = replace(dims[xd], lower=-half, upper=half)
-    return make_grid(GridSpec(tuple(dims)))
 
 
 def cmd_mc(cfg: RunConfig, out_dir: Path, args) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .bench import Thresholds
-from .distributions import MeasurementScenario
+from .distributions import MeasurementScenario, TRUNCATION_SIGMAS
 from .errors import ConfigError, GridError, ExpressionError, EvaluationError
 from .grid import Dim, GridSpec
 from .models import ModelFunction, builtin, parse_expression
@@ -182,9 +182,9 @@ class RunConfig:
             except GridError as exc:
                 raise ConfigError(f"grid: {exc}") from None
         scenario = self.scenario()
-        lo = float(scenario.locations.min()) - 4 * scenario.sigma_ell
-        hi = float(scenario.locations.max()) + 4 * scenario.sigma_ell
-        a = 4 * scenario.sigma_alpha
+        lo = float(scenario.locations.min()) - TRUNCATION_SIGMAS * scenario.sigma_ell
+        hi = float(scenario.locations.max()) + TRUNCATION_SIGMAS * scenario.sigma_ell
+        a = TRUNCATION_SIGMAS * scenario.sigma_alpha
         return GridSpec((Dim("x", lo, hi, self.DEFAULT_X_COUNT, "x"),
                          Dim("alpha", -a, a, self.DEFAULT_ALPHA_COUNT, "alpha")))
 
@@ -200,8 +200,11 @@ class RunConfig:
         if reference not in ("mode", "alpha-matched"):
             raise ConfigError("output.deviation_reference: expected 'mode' or "
                               f"'alpha-matched', got {reference!r}")
-        return {"k": k, "level": level, "deviation_reference": reference,
-                "shared_matrix": _require(section, "shared_matrix", "output", bool, True)}
+        shared = _require(section, "shared_matrix", "output", bool, True)
+        if reference == "alpha-matched" and not shared:
+            raise ConfigError("output.shared_matrix: false has no effect with output."
+                              "deviation_reference: alpha-matched; remove the key")
+        return {"k": k, "level": level, "deviation_reference": reference, "shared_matrix": shared}
 
     # --- mc ------------------------------------------------------------------
 

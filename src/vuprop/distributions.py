@@ -6,14 +6,16 @@ summation, whose ~1e-15 relative error keeps the 1e-9 column-sum invariant
 safe on grids of 1e6+ cells without a per-element Python loop.
 
 A measurement location's column is a Gaussian centered at x = ell on the
-grid itself. Deviation coordinates arise only where a caller shifts the
-model's input (`models.eval_shifted`), never in a column.
+grid itself, or on a local window's own x nodes. Deviation coordinates arise
+only where a caller shifts the model's input (`models.eval_shifted`), never
+in a column. Every command's column is a row of `scenario_factors`;
+`gaussian_on_grid`, normalized over an assembled column, is the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +23,9 @@ from .errors import DegenerateDistributionError, GridError
 from .grid import Grid
 
 SUM_TOL = 1e-9
+
+# Half-width, in sigmas, of every window and default grid cut around a location
+TRUNCATION_SIGMAS = 4.0
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:
@@ -62,9 +67,6 @@ class ProbabilityMatrix:
     def n_locations(self) -> int:
         return self.columns.shape[1]
 
-    def column(self, i: int) -> ProbabilityVector:
-        return ProbabilityVector(self.columns[:, i], self.grid)
-
 
 @dataclass(frozen=True)
 class MeasurementScenario:
@@ -99,6 +101,10 @@ class MeasurementScenario:
         if self.weights is not None:
             return self.weights
         return np.full(self.n_locations, 1.0 / self.n_locations)
+
+    def at(self, ell: float) -> MeasurementScenario:
+        """The one location ell, with these widths and no weights."""
+        return replace(self, locations=ell, weights=None)
 
 
 def _axis_gaussian(axis: np.ndarray, mean, sigma) -> np.ndarray:
@@ -181,19 +187,26 @@ class ScenarioFactors:
     x_block: np.ndarray  # (L, nx)
     post: np.ndarray  # (n_post,) outer product of the alpha factors after x
 
-    def column(self, i: int) -> np.ndarray:
-        """Column i, flattened row-major (N floats)."""
-        return (self.pre[:, None, None] * self.x_block[i][None, :, None]
-                * self.post[None, None, :]).ravel()
+    def column(self, i: int, out=None) -> np.ndarray:
+        """Column i, flattened row-major (N floats), written into out if given."""
+        shape = (self.pre.size, self.x_block.shape[1], self.post.size)
+        return np.multiply(self.pre[:, None, None] * self.x_block[i][None, :, None],
+                           self.post, out=None if out is None else out.reshape(shape)).ravel()
 
 
-def scenario_factors(grid: Grid, scenario: MeasurementScenario) -> ScenarioFactors:
+def scenario_factors(grid: Grid, scenario: MeasurementScenario, x_nodes=None) -> ScenarioFactors:
     """Per-axis factors of every scenario column, normalized.
 
-    Costs O(N / nx + L * nx): only the x factor depends on the location.
+    Row i of the x factor is at x_nodes[i] ((L, nx); by default the grid's x
+    axis). Costs O(N / nx + L * nx): only the x factor depends on the location.
     """
     xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
+    if x_nodes is None:
+        x_nodes = grid.axes[xd]
+    elif np.shape(x_nodes) != (scenario.n_locations, grid.spec.counts[xd]):
+        raise GridError(f"x_nodes has shape {np.shape(x_nodes)}, expected (L, nx) = "
+                        f"({scenario.n_locations}, {grid.spec.counts[xd]})")
     pre = np.ones(1)
     for d in range(xd):
         pre = np.multiply.outer(pre, _axis_gaussian(grid.axes[d], 0.0, sigma[d])).ravel()
@@ -201,7 +214,7 @@ def scenario_factors(grid: Grid, scenario: MeasurementScenario) -> ScenarioFacto
     for d in range(xd + 1, grid.ndim):
         post = np.multiply.outer(post, _axis_gaussian(grid.axes[d], 0.0, sigma[d])).ravel()
     # (L, nx): one row of x factors per location
-    x_block = _axis_gaussian(grid.axes[xd], scenario.locations[:, None], sigma[xd])
+    x_block = _axis_gaussian(x_nodes, scenario.locations[:, None], sigma[xd])
     # Column sums factor over axes (sum of an outer product is the product of
     # the factor sums), so normalization folds into the x-block up front and
     # needs no pass over an assembled column.

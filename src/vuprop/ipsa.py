@@ -12,17 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MeasurementScenario, gaussian_on_grid, scenario_sigma
-from .engine import (
-    OutputBinning,
-    OutputProbabilityMatrix,
-    SparseModelMatrix,
-    matrix_from_model,
-    propagate,
-    propagate_scenario,
-)
+from .distributions import MeasurementScenario, TRUNCATION_SIGMAS, scenario_factors
+from .engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model, propagate_scenario
 from .errors import EvaluationError, GridError
-from .grid import Dim, Grid, GridSpec, make_grid
+from .grid import Dim, Grid
 from .models import ModelFunction, _eval_broadcast, eval_at_locations, eval_shifted
 
 
@@ -69,60 +62,58 @@ def output_matrix(
     reused for all locations; columns are Gaussians with the mean shifted to
     each location. This is the sublinear-in-L path.
 
-    shared_matrix=False: one matrix per location, built on a local deviation
-    window of +-4 sigma_ell around the location (clipped to the grid's x
-    extent), all sharing one output binning. Slower, but resolves narrow
-    measurement uncertainties far below the absolute grid step.
+    shared_matrix=False: column i is location i's `scenario_factors` row on
+    its own window of +-4 sigma_ell in x, clipped to the grid's x extent,
+    with the grid's x node count; all columns share one output binning.
+    Slower, but resolves narrow measurement uncertainties far below the grid
+    step. A window that misses the grid fails before any model call.
     """
     if shared_matrix:
         return propagate_scenario(matrix_from_model(model, grid, K), scenario)
 
-    xd = grid.spec.x_index()
-    x_dim = grid.spec.dims[xd]
-    half = 4.0 * scenario.sigma_ell
-    sigma = scenario_sigma(grid, scenario)
+    x_dim = grid.spec.dims[grid.spec.x_index()]
+    half = TRUNCATION_SIGMAS * scenario.sigma_ell
+    ells = scenario.locations
+    lower, upper = np.maximum(ells - half, x_dim.lower), np.minimum(ells + half, x_dim.upper)
+    if not (lower < upper).all():
+        ell = float(ells[np.argmin(lower < upper)])
+        raise GridError(f"location {ell!r}: its +-{TRUNCATION_SIGMAS:g} sigma_ell window "
+                        f"[{ell - half!r}, {ell + half!r}] misses the grid's x extent "
+                        f"[{float(x_dim.lower)!r}, {float(x_dim.upper)!r}]")
 
-    def evaluate(ell: float) -> tuple[Grid, np.ndarray]:
-        dims = list(grid.spec.dims)
-        dims[xd] = Dim(x_dim.name, max(ell - half, x_dim.lower),
-                       min(ell + half, x_dim.upper), x_dim.count, "x")
-        g = make_grid(GridSpec(tuple(dims)))
-        return g, _eval_broadcast(model, g, g.axes[xd]).ravel()
+    def window(i: int) -> np.ndarray:
+        return Dim(x_dim.name, lower[i], upper[i], x_dim.count).nodes()
 
-    def column(ell: float, g: Grid):
-        mean = np.zeros(grid.ndim)
-        mean[xd] = ell
-        return gaussian_on_grid(g, mean, sigma)
-
-    values, binning = _binned_sweep(scenario.locations, K, evaluate, column)
-    return OutputProbabilityMatrix(values, binning, scenario.locations.copy())
+    weights = np.empty(grid.size)  # one array for every column: fresh ones were faulted in anew
+    values, binning = _binned_sweep(
+        ells, K, lambda i: _eval_broadcast(model, grid, window(i)).ravel(),
+        lambda i: scenario_factors(grid, scenario.at(ells[i]), window(i)[None]).column(0, weights))
+    return OutputProbabilityMatrix(values, binning, ells.copy())
 
 
 def _binned_sweep(locations, K: int, evaluate, column) -> tuple[np.ndarray, OutputBinning]:
     """One propagated column per location, all on one shared binning.
 
-    evaluate(ell) gives a grid and the outputs at its nodes, in flat order;
-    column(ell, grid) gives the input distribution on that grid. Two sweeps
-    keep memory at O(N) whatever L is: the first finds the global output
-    range that the binning spans, and exits on the first location with a
-    non-finite output; the second evaluates each location again, bins and
-    propagates. The binning spans every output, so none is clamped.
+    evaluate(i) gives location i's model outputs and column(i) their input
+    weights, both N floats in one flat order. Two sweeps keep memory at O(N)
+    whatever L is: the first finds the global output range that the binning
+    spans, and exits on the first location with a non-finite output; the
+    second evaluates each location again, bins, and adds each weight into
+    its output bin. The binning spans every output, so none is clamped.
     """
-    y_min = math.inf
-    y_max = -math.inf
-    for ell in locations:
-        y = evaluate(ell)[1]
+    y_min, y_max = math.inf, -math.inf
+    for i, ell in enumerate(locations):
+        y = evaluate(i)
         lo, hi = float(y.min()), float(y.max())  # a nan reaches both
+        del y  # one location's outputs alive at a time, in both sweeps
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EvaluationError(f"non-finite model outputs at location {ell}")
-        y_min = min(y_min, lo)
-        y_max = max(y_max, hi)
+        y_min, y_max = min(y_min, lo), max(y_max, hi)
     binning = OutputBinning.spanning(K, y_min, y_max)
     values = np.empty((binning.K, locations.size))
-    for i, ell in enumerate(locations):
-        g, y = evaluate(ell)
-        matrix = SparseModelMatrix(binning.assign(y), binning, g)
-        values[:, i] = propagate(matrix, column(ell, g))
+    for i in range(locations.size):  # the outputs go once binned, the bins once counted
+        values[:, i] = np.bincount(binning.assign(evaluate(i)), weights=column(i),
+                                   minlength=binning.K)
     return values, binning
 
 
@@ -232,18 +223,17 @@ def deviation_statistic_matrix(
     M(ell + x, alpha) - M(ell, alpha) itself, so the alpha offset cancels
     against a reference at the same alpha instead of the alpha mode.
 
-    The grid's x-coordinate is the deviation from the location. One column
-    per location; columns share one binning spanning the global range.
+    The grid's x-coordinate is the deviation from the location, so every
+    location propagates the Gaussian centred at x = 0, on one binning.
     """
-    base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
+    base_col = scenario_factors(grid, scenario.at(0.0)).column(0)
 
-    def evaluate(ell: float) -> tuple[Grid, np.ndarray]:
-        shifted, ref = eval_shifted(model, grid, ell)
+    def evaluate(i: int) -> np.ndarray:
+        shifted, ref = eval_shifted(model, grid, scenario.locations[i])
         buffer = shifted if shifted.flags.writeable else None  # the model's own, if writable
-        return grid, np.subtract(shifted, ref, out=buffer).ravel()
+        return np.subtract(shifted, ref, out=buffer).ravel()
 
-    values, binning = _binned_sweep(scenario.locations, K, evaluate,
-                                    lambda ell, g: base_col)
+    values, binning = _binned_sweep(scenario.locations, K, evaluate, lambda i: base_col)
     L = scenario.n_locations
     # The statistic is already a deviation: zero references, no shift.
     return IpsaMatrix(values, binning.centers, binning.width, np.zeros(L),

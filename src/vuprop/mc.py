@@ -8,7 +8,7 @@ location i of a run with seed s draws from the stream keyed (s, i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,13 @@ def gaussian_sampler(grid: Grid, mean, sigma) -> SamplerSpec:
     return SamplerSpec("gaussian", bounds,
                        mean=np.atleast_1d(np.asarray(mean, float)),
                        sigma=np.atleast_1d(np.asarray(sigma, float)))
+
+
+def location_sampler(grid: Grid, scenario: MeasurementScenario, ell: float) -> SamplerSpec:
+    """The truncated Gaussian of location ell: centred at x = ell, 0 elsewhere."""
+    mean = np.zeros(grid.ndim)
+    mean[grid.spec.x_index()] = ell
+    return gaussian_sampler(grid, mean, scenario_sigma(grid, scenario))
 
 
 def uniform_sampler(grid: Grid) -> SamplerSpec:
@@ -182,14 +189,10 @@ def mc_propagate_many(
     """
     if cfg.binning is None:
         raise GridError("mc_propagate_many needs a fixed OutputBinning so columns share one axis")
-    xd = grid.spec.x_index()
-    sigma = scenario_sigma(grid, scenario)
     out = np.empty((cfg.binning.K, scenario.n_locations))
     clamped = np.empty((2, scenario.n_locations))
     for i, ell in enumerate(scenario.locations):
-        mean = np.zeros(grid.ndim)
-        mean[xd] = ell
-        sampler = gaussian_sampler(grid, mean, sigma)
+        sampler = location_sampler(grid, scenario, ell)
         col_cfg = McConfig(cfg.n_samples, cfg.K, location_seed(cfg.seed, i), cfg.binning)
         try:
             out[:, i], _ = mc_propagate(model, sampler, col_cfg, clamped[:, i])

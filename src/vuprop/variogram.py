@@ -12,7 +12,7 @@ When ell + v would leave the grid, the ell-integration range shrinks to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,7 +227,7 @@ def local_square_deviation(
     normalized): no N-length weight vector and no fsum over N.
     """
     shifted, ref = eval_shifted(model, grid, ell)
-    f = scenario_factors(grid, replace(scenario, locations=np.zeros(1), weights=None))
+    f = scenario_factors(grid, scenario.at(0.0))
     # Squared in the model's output buffer where it may be overwritten: one
     # N-sized array per location, not three.
     sq = np.subtract(shifted, ref, out=shifted if shifted.flags.writeable else None)

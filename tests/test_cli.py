@@ -461,6 +461,31 @@ def test_ipsa_local_windows_on_a_grid_without_x_zero(tmp_path):
         assert math.fsum(values[:, i]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ipsa_alpha_matched_with_shared_matrix_false_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(_with_output(CONFIG, "deviation_reference: alpha-matched\n"
+                                           "  shared_matrix: false"))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "output.shared_matrix" in err and "output.deviation_reference" in err
+    assert not (out / "summary.csv").exists()
+
+
+def test_ipsa_local_window_off_the_grid_names_its_location(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    text = CONFIG.replace("locations: [-1.0, 0.0, 1.0]", "locations: [0.0, 6.0]")
+    config.write_text(_with_output(text, "shared_matrix: false"))
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: location 6.0: its +-4 sigma_ell window [4.4, 7.6] misses the grid's "
+        "x extent [-4.0, 4.0]\n")
+    # The shared matrix keeps its truncated Gaussian on the grid.
+    config.write_text(text)
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+
+
 @pytest.mark.parametrize("flag, yaml_scales", [
     ("--scales=0", "[0]"),
     ("--scales=-0.5", "[-0.5]"),

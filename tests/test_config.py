@@ -92,6 +92,23 @@ def test_validation_errors_name_the_key(tmp_path, snippet, match):
         cfg.bench()
 
 
+@pytest.mark.parametrize("shared", ["true", None])
+def test_alpha_matched_accepts_shared_matrix_true_or_absent(tmp_path, shared):
+    snippet = "output:\n  deviation_reference: alpha-matched\n"
+    if shared is not None:
+        snippet += f"  shared_matrix: {shared}\n"
+    assert _load(tmp_path, BASE + snippet).output()["shared_matrix"] is True
+
+
+def test_alpha_matched_rejects_shared_matrix_false(tmp_path):
+    # The alpha-matched sweep never reads the key: false would be ignored.
+    cfg = _load(tmp_path, BASE + "output:\n  deviation_reference: alpha-matched\n"
+                                 "  shared_matrix: false\n")
+    with pytest.raises(ConfigError, match=r"output\.shared_matrix: false .*"
+                                          r"output\.deviation_reference: alpha-matched"):
+        cfg.output()
+
+
 def test_bad_seed_rejected_at_load(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         _load(tmp_path, BASE + "seed: maybe")

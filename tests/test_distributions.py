@@ -14,7 +14,7 @@ from vuprop import (
     scenario_matrix,
     uniform_on_grid,
 )
-from vuprop.distributions import SUM_TOL, ProbabilityVector, _normalize
+from vuprop.distributions import SUM_TOL, ProbabilityVector, _normalize, scenario_factors
 from vuprop.errors import DegenerateDistributionError, GridError
 
 
@@ -150,6 +150,44 @@ def test_scenario_matrix_rejects_bad_grid():
     g = make_grid(GridSpec((Dim("x", 0, 1, 3), Dim("y", 0, 1, 3))))
     with pytest.raises(GridError, match="one x dimension"):
         scenario_matrix(g, MeasurementScenario([0.5], 0.1, 0.1))
+
+
+@pytest.mark.parametrize("dims", [
+    (Dim("x", -5, 5, 50), Dim("a", -1, 1, 20, "alpha")),
+    (Dim("a", -1, 1, 20, "alpha"), Dim("x", -5, 5, 50)),
+])
+def test_scenario_factors_on_given_x_nodes(dims):
+    g = make_grid(GridSpec(dims))
+    sc = MeasurementScenario([-1.0, 0.0, 2.0], 0.5, 0.25)
+    xd = g.spec.x_index()
+    default = scenario_factors(g, sc)
+    # The grid's own axis on every row: the default factors, bit for bit.
+    f = scenario_factors(g, sc, np.tile(g.axes[xd], (3, 1)))
+    assert np.array_equal(f.x_block, default.x_block)
+    assert np.array_equal(f.pre, default.pre) and np.array_equal(f.post, default.post)
+    # Row i on its own nodes: location i alone on those nodes.
+    x_nodes = np.stack([np.linspace(ell - 1.0, ell + 1.0, 50) for ell in sc.locations])
+    f = scenario_factors(g, sc, x_nodes)
+    for i, ell in enumerate(sc.locations):
+        one = scenario_factors(g, sc.at(ell), x_nodes[i:i + 1])
+        assert np.array_equal(f.x_block[i], one.x_block[0])
+        assert abs(math.fsum(f.column(i)) - 1.0) <= SUM_TOL
+        out = np.empty(g.size)  # the same column, written into a given array
+        assert np.array_equal(f.column(i, out), f.column(i)) and np.array_equal(out, f.column(i))
+    for shape in ((2, 50), (3, 49), (50, 3), (3, 50, 1), (50,), (150,)):
+        with pytest.raises(GridError, match="x_nodes has shape"):
+            scenario_factors(g, sc, np.zeros(shape))
+
+
+def test_scenario_at_one_location():
+    g = make_grid(GridSpec((Dim("x", -2, 2, 40), Dim("a", -1, 1, 20, "alpha"))))
+    sc = MeasurementScenario([-1.0, 1.5], 0.5, 0.25, weights=[0.3, 0.7])
+    one = sc.at(0.0)
+    assert one.locations.tolist() == [0.0] and one.weights is None
+    assert (one.sigma_ell, one.sigma_alpha) == (0.5, 0.25)
+    col = scenario_factors(g, one).column(0)
+    ref = gaussian_on_grid(g, (0.0, 0.0), (0.5, 0.25)).values
+    assert np.allclose(col, ref, rtol=1e-14, atol=0)
 
 
 def test_normalize_is_idempotent():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vuprop import (
     Dim,
     GridSpec,
     MeasurementScenario,
+    ModelFunction,
     OutputBinning,
     OutputProbabilityMatrix,
     SparseModelMatrix,
@@ -23,7 +25,7 @@ from vuprop import (
     summarize,
     to_deviations,
 )
-from vuprop.distributions import scenario_sigma
+from vuprop.distributions import scenario_factors, scenario_sigma
 from vuprop.ipsa import _shortest_interval
 from vuprop.errors import GridError
 
@@ -252,10 +254,13 @@ def test_shortest_interval_matches_loop_on_binned_columns():
 
 # --- deviation statistic matrix: two sweeps, same columns --------------------
 
-def _deviation_statistic_all_stats(model, grid, scenario, K):
-    """Reference version: every location's N-float statistic held at once."""
+def _deviation_statistic_all_stats(model, grid, scenario, K, base_col=None):
+    """Reference version: every location's N-float statistic held at once.
+    The column is the scenario factors' at location 0 unless base_col is given."""
     xd = grid.spec.x_index()
-    base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, scenario))
+    if base_col is None:
+        at_zero = replace(scenario, locations=[0.0], weights=None)
+        base_col = scenario_factors(grid, at_zero).column(0)
     stats = []
     for ell in scenario.locations:
         shifted = [grid.nodes[:, d] + ell if d == xd else grid.nodes[:, d] for d in range(grid.ndim)]
@@ -300,8 +305,10 @@ def test_deviation_statistic_matrix_memory_is_independent_of_L():
 
 # --- output matrix on local grids: two sweeps, same columns ------------------
 
-def _output_matrix_all_outputs(model, grid, scenario, K):
-    """Reference version: every location's local grid and outputs held at once."""
+def _output_matrix_all_outputs(model, grid, scenario, K, gaussian=False):
+    """Reference version: every location's local grid and outputs held at once.
+    Column i is row i of the scenario factors on the windows' x nodes, or with
+    gaussian=True the Gaussian assembled on window i's grid."""
     xd = grid.spec.x_index()
     x_dim = grid.spec.dims[xd]
     half = 4.0 * scenario.sigma_ell
@@ -317,12 +324,14 @@ def _output_matrix_all_outputs(model, grid, scenario, K):
     y_max = max(float(y.max()) for y in outputs)
     binning = OutputBinning(K if y_max > y_min else 1, y_min, y_max)
     sigma = scenario_sigma(grid, scenario)
+    factors = scenario_factors(grid, scenario, np.stack([g.axes[xd] for g in grids]))
     values = np.empty((binning.K, scenario.n_locations))
     for i, (ell, g, y) in enumerate(zip(scenario.locations, grids, outputs)):
         mean = np.zeros(grid.ndim)
         mean[xd] = ell
         matrix = SparseModelMatrix(binning.assign(y), binning, g)
-        values[:, i] = propagate(matrix, gaussian_on_grid(g, mean, sigma))
+        column = gaussian_on_grid(g, mean, sigma) if gaussian else factors.column(i)
+        values[:, i] = propagate(matrix, column)
     return values, binning
 
 
@@ -354,6 +363,48 @@ def test_local_output_matrix_evaluates_only_window_nodes(text):
     assert out.binning == binning
 
 
+def _assert_close_per_cell(values, expected, rel=1e-14):
+    assert values.shape == expected.shape
+    assert np.all(np.abs(values - expected) <= rel * np.abs(expected))
+
+
+@pytest.mark.parametrize("dims", [
+    (Dim("x", -4, 4, 90), Dim("a", -1, 1, 30, "alpha")),
+    (Dim("a", -1, 1, 30, "alpha"), Dim("x", -4, 4, 90)),
+])
+def test_per_location_modes_match_gaussian_on_grid_columns(dims):
+    # gaussian_on_grid normalizes an assembled column by one sum over its N
+    # cells, the scenario factors by the product of their per-axis sums: the
+    # same weights up to rounding, added into the same bins in the same order.
+    grid = make_grid(GridSpec(dims))
+    model = parse_expression("x^2 + 5*sin(3*x) + a*x", [d.name for d in dims])
+    sc = _scenario(locations=(-3.9, -0.4, 0.0, 1.3, 3.5))
+    out = output_matrix(model, grid, sc, 120, shared_matrix=False)
+    values, binning = _output_matrix_all_outputs(model, grid, sc, 120, gaussian=True)
+    assert out.binning == binning
+    _assert_close_per_cell(out.values, values)
+    dev = deviation_statistic_matrix(model, grid, sc, 120)
+    base_col = gaussian_on_grid(grid, np.zeros(grid.ndim), scenario_sigma(grid, sc))
+    values, binning = _deviation_statistic_all_stats(model, grid, sc, 120, base_col)
+    assert np.array_equal(dev.delta_centers, binning.centers)
+    _assert_close_per_cell(dev.values, values)
+
+
+def test_local_window_outside_the_grid_names_its_location():
+    calls = []
+    model = parse_expression("x^2 + a", ["x", "a"])
+    counted = ModelFunction(model.name, 2, lambda *a: calls.append(a) or model.fn(*a))
+    sc = _scenario(locations=(0.0, 6.0, 7.0))
+    grid = make_grid(GridSpec((Dim("x", -4, 4, 40), Dim("a", -1, 1, 10, "alpha"))))
+    with pytest.raises(GridError, match=r"^location 6\.0: its \+-4 sigma_ell window "
+                       r"\[4\.4, 7\.6\] misses the grid's x extent \[-4\.0, 4\.0\]$"):
+        output_matrix(counted, grid, sc, 40, shared_matrix=False)
+    assert calls == []
+    # A window that reaches into the grid is clipped to it.
+    out = output_matrix(model, grid, _scenario(locations=(0.0, 5.0)), 40, shared_matrix=False)
+    assert abs(math.fsum(out.values[:, 1]) - 1.0) <= 1e-9
+
+
 def test_local_output_matrix_memory_is_independent_of_L():
     # N = 2e5, L = 20: holding every location's grid and outputs took about
     # 64 * 8 * N bytes (103 MB); two sweeps need about 10 * 8 * N.
@@ -366,6 +417,27 @@ def test_local_output_matrix_memory_is_independent_of_L():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * grid.size
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_per_location_sweeps_hold_one_location_at_a_time(local):
+    # N = 2e5, L = 20. Alive at the peak: one location's outputs, its bins and
+    # the bincount's index copy, and the one input column (a local window
+    # writes each of its columns into one array): about 2.6 * 8 * N. With
+    # the range sweep's last outputs kept alive it is about 3.6 * 8 * N.
+    x = (-4, 4) if local else (-1.6, 1.6)
+    grid = make_grid(GridSpec((Dim("x", *x, 1000), Dim("a", -1, 1, 200, "alpha"))))
+    sc = _scenario(locations=np.linspace(-3, 3, 20))
+    tracemalloc.start()
+    try:
+        if local:
+            output_matrix(builtin("ipsa2d"), grid, sc, 500, shared_matrix=False)
+        else:
+            deviation_statistic_matrix(builtin("ipsa2d"), grid, sc, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * grid.size
 
 
 # --- to_deviations: every column moves down whole rows ------------------------
