@@ -30,7 +30,6 @@ class BenchRow:
     min_s: float
     max_s: float
     breakdown: dict  # per-phase seconds (medians)
-    unreliable: bool = False
 
     def __post_init__(self):
         if not (self.min_s <= self.median_s <= self.max_s):
@@ -96,11 +95,6 @@ def _timed(fn, repetitions: int):
     return float(np.median(times)), min(times), max(times)
 
 
-def _resolution() -> float:
-    info = time.get_clock_info("perf_counter")
-    return max(info.resolution, 1e-9)
-
-
 def _vup_row(model, grid: Grid, scenario, K, repetitions) -> BenchRow:
     build = _timed(lambda: matrix_from_model(model, grid, K), repetitions)
     matrix = matrix_from_model(model, grid, K)
@@ -114,7 +108,6 @@ def _vup_row(model, grid: Grid, scenario, K, repetitions) -> BenchRow:
     return BenchRow(
         "vup", grid.size, scenario.n_locations, repetitions, med, lo, hi,
         {"matrix_build_s": build[0], "pdf_build_s": pdf[0], "propagate_s": prop[0]},
-        unreliable=med < 100 * _resolution(),
     )
 
 
@@ -140,7 +133,6 @@ def _mc_row(model, grid: Grid, scenario, K, repetitions, seed) -> BenchRow:
     return BenchRow(
         "mc", grid.size, scenario.n_locations, repetitions, med, lo, hi,
         {"sample_s": sample[0], "eval_s": eval_t[0], "bin_s": bin_t[0]},
-        unreliable=med < 100 * _resolution(),
     )
 
 

@@ -174,6 +174,10 @@ def cmd_propagate(cfg: RunConfig, out_dir: Path, args) -> dict:
         matrix = load_matrix(args.matrix, grid=grid, model_name=model.name)
         extra["matrix_source"] = "loaded"
         record = _build_record(args.matrix, grid, model)
+        # A constant-output build collapses to one bin, whatever K it was asked for.
+        if matrix.K != k and not (matrix.K == 1 and matrix.binning.y_min == matrix.binning.y_max):
+            raise ConfigError(f"{args.matrix}: sidecar has K = {matrix.K} output bins, "
+                              f"the config's output.k is {k}")
         if record is not None:
             # Carried forward so a later run reading this directory's
             # manifest still finds the record.
@@ -247,11 +251,8 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
     dims = list(grid.spec.dims)
     dims[xd] = replace(x_dim, lower=-half, upper=half)
     dev_grid = make_grid(GridSpec(tuple(dims)))
-    _write_rows(
-        out_dir / "delta_sq.csv", ["ell", "delta_sq"],
-        ((ell, local_square_deviation(model, float(ell), scenario, dev_grid))
-         for ell in scenario.locations),
-    )
+    _write_rows(out_dir / "delta_sq.csv", ["ell", "delta_sq"],
+                zip(scenario.locations, local_square_deviation(model, dev_grid, scenario)))
     return {"integrated": results}
 
 

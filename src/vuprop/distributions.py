@@ -7,7 +7,7 @@ safe on grids of 1e6+ cells without a per-element Python loop.
 
 A measurement location's column is a Gaussian centered at x = ell on the
 grid itself, or on a local window's own x nodes. Deviation coordinates arise
-only where a caller shifts the model's input (`models.eval_shifted`), never
+only where a caller shifts the model's input (`models.eval_deviation`), never
 in a column. Every command's column is a row of `scenario_factors`;
 `gaussian_on_grid`, normalized over an assembled column, is the reference.
 """
@@ -81,6 +81,10 @@ class MeasurementScenario:
         object.__setattr__(self, "locations", np.atleast_1d(np.asarray(self.locations, float)))
         if self.locations.size < 1:
             raise GridError("scenario needs at least one location")
+        bad = np.flatnonzero(~np.isfinite(self.locations))
+        if bad.size:
+            raise GridError(f"location {float(self.locations[bad[0]])!r} "
+                            f"(index {bad[0]}) is not finite")
         if not self.sigma_ell > 0:
             raise GridError(f"sigma_ell must be > 0, got {self.sigma_ell}")
         if not self.sigma_alpha > 0:

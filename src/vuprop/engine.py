@@ -195,12 +195,13 @@ def propagate_many(matrix: SparseModelMatrix, P: ProbabilityMatrix) -> OutputPro
 
 
 # Branch rule of propagate_scenario. Measured on a 2-vCPU Xeon VM (numpy
-# 2.4.6, one BLAS thread) at N = 1e6, K = 500-5000: the fold costs 10-18 ms
-# while nx * K <= 4 * N, about as much as streaming 2-3 columns (5-7 ms
-# each), so it wins from L = 3 on (L = 2: 16 ms folded, 12-14 ms streamed;
-# L = 4: 16-18 ms folded, 22-32 ms streamed). The cap also bounds the fold's
-# block of A, min(nx, BLOCK // n_alpha) * K cells, by nx * K <= 4 * N: past it,
-# a 1-D grid at K = 500 would fold 2^16 * 500 cells (262 MB) at a time.
+# 2.4.6, one BLAS thread, medians of 9) at N = 1e6: the blocked fold costs
+# 5.3-5.6 ms, and at L = 2 it already beats the stream (5.4 against 14.7 ms),
+# so the threshold could drop to 2; it has not been moved. L = 1 stays
+# streamed whatever it becomes: bench's t_vup(1) feeds the single-pdf parity
+# gate. The cap bounds the fold's block of A, min(nx, BLOCK // n_alpha) * K
+# cells, by nx * K <= 4 * N: past it, a 1-D grid at K = 500 would fold
+# 2^16 * 500 cells (262 MB) at a time.
 _FOLD_MIN_L = 3
 _FOLD_MAX_RATIO = 4
 
@@ -259,8 +260,9 @@ def _propagate_folded(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarr
 
 def _propagate_streamed(matrix: SparseModelMatrix, f: ScenarioFactors) -> np.ndarray:
     out = np.empty((matrix.K, f.x_block.shape[0]))
+    column = np.empty(matrix.N)  # one array for every column: fresh ones were faulted in anew
     for i in range(out.shape[1]):
-        out[:, i] = propagate(matrix, f.column(i))
+        out[:, i] = propagate(matrix, f.column(i, column))
     return out
 
 

@@ -16,7 +16,7 @@ from .distributions import MeasurementScenario, TRUNCATION_SIGMAS, scenario_fact
 from .engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model, propagate_scenario
 from .errors import EvaluationError, GridError
 from .grid import Dim, Grid
-from .models import ModelFunction, _eval_broadcast, eval_at_locations, eval_shifted
+from .models import ModelFunction, _eval_broadcast, eval_at_locations, eval_deviation
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,13 @@ def output_matrix(
                         f"[{ell - half!r}, {ell + half!r}] misses the grid's x extent "
                         f"[{float(x_dim.lower)!r}, {float(x_dim.upper)!r}]")
 
-    def window(i: int) -> np.ndarray:
-        return Dim(x_dim.name, lower[i], upper[i], x_dim.count).nodes()
-
+    windows = np.stack([Dim(x_dim.name, lo, hi, x_dim.count).nodes()
+                        for lo, hi in zip(lower, upper)])  # (L, nx)
+    factors = scenario_factors(grid, scenario, windows)
     weights = np.empty(grid.size)  # one array for every column: fresh ones were faulted in anew
     values, binning = _binned_sweep(
-        ells, K, lambda i: _eval_broadcast(model, grid, window(i)).ravel(),
-        lambda i: scenario_factors(grid, scenario.at(ells[i]), window(i)[None]).column(0, weights))
+        ells, K, lambda i: _eval_broadcast(model, grid, windows[i]).ravel(),
+        lambda i: factors.column(i, weights))
     return OutputProbabilityMatrix(values, binning, ells.copy())
 
 
@@ -227,13 +227,9 @@ def deviation_statistic_matrix(
     location propagates the Gaussian centred at x = 0, on one binning.
     """
     base_col = scenario_factors(grid, scenario.at(0.0)).column(0)
-
-    def evaluate(i: int) -> np.ndarray:
-        shifted, ref = eval_shifted(model, grid, scenario.locations[i])
-        buffer = shifted if shifted.flags.writeable else None  # the model's own, if writable
-        return np.subtract(shifted, ref, out=buffer).ravel()
-
-    values, binning = _binned_sweep(scenario.locations, K, evaluate, lambda i: base_col)
+    values, binning = _binned_sweep(
+        scenario.locations, K,
+        lambda i: eval_deviation(model, grid, scenario.locations[i]).ravel(), lambda i: base_col)
     L = scenario.n_locations
     # The statistic is already a deviation: zero references, no shift.
     return IpsaMatrix(values, binning.centers, binning.width, np.zeros(L),

@@ -340,16 +340,17 @@ def _eval_broadcast(model: ModelFunction, grid: Grid, x: np.ndarray) -> np.ndarr
     return y.reshape(math.prod(shape[:xd]), x.size, math.prod(shape[xd + 1:]))
 
 
-def eval_shifted(model: ModelFunction, grid: Grid, ell: float) -> tuple[np.ndarray, np.ndarray]:
-    """M(ell + x, alpha) and M(ell, alpha) on a grid whose x is the deviation
-    from ell, both checked finite, in `_eval_broadcast`'s view: the first on
-    the whole grid, the second on the N / nx alpha nodes only, shaped
-    (n_pre, 1, n_post)."""
+def eval_deviation(model: ModelFunction, grid: Grid, ell: float) -> np.ndarray:
+    """M(ell + x, alpha) - M(ell, alpha) on a grid whose x is the deviation
+    from ell, in `_eval_broadcast`'s view, with M(ell, alpha) evaluated on the
+    N / nx alpha nodes only. Both terms are checked finite. The result is a
+    fresh array the caller may overwrite: the model's own output buffer when
+    it is writable, else the difference's."""
     shifted = _eval_broadcast(model, grid, grid.axes[grid.spec.x_index()] + ell)
     ref = _eval_broadcast(model, grid, np.array([float(ell)]))
     if not all(math.isfinite(y.min()) and math.isfinite(y.max()) for y in (shifted, ref)):
         raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
-    return shifted, ref
+    return np.subtract(shifted, ref, out=shifted if shifted.flags.writeable else None)
 
 
 def x_first(model: ModelFunction, xd: int) -> ModelFunction:

@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import MeasurementScenario, scenario_factors
 from .errors import EvaluationError, GridError
 from .grid import Grid
-from .models import ModelFunction, eval_at_locations, eval_shifted
+from .models import ModelFunction, eval_at_locations, eval_deviation
 
 
 @dataclass(frozen=True)
@@ -216,20 +216,22 @@ def generalized_expectation(
 
 
 def local_square_deviation(
-    model: ModelFunction, ell: float, scenario: MeasurementScenario, grid: Grid
-) -> float:
-    """Expected squared deviation of the response at one location under the
-    truncated-Gaussian measurement uncertainty, by midpoint quadrature over
-    a deviation-coordinate (x, alpha) grid.
+    model: ModelFunction, grid: Grid, scenario: MeasurementScenario
+) -> np.ndarray:
+    """Expected squared deviation of the response at each of the scenario's
+    locations under its truncated-Gaussian measurement uncertainty, (L,), by
+    midpoint quadrature over a deviation-coordinate (x, alpha) grid.
 
-    The Gaussian is separable, so half the sum of p * s^2 contracts s^2 with
-    its per-axis factors (scenario_factors at the single location 0, already
-    normalized): no N-length weight vector and no fsum over N.
+    The Gaussian is separable and the same at every location in deviation
+    coordinates, so half the sum of p * s^2 contracts s^2 with one set of
+    per-axis factors (scenario_factors at the single location 0, already
+    normalized), built once: no N-length weight vector and no fsum over N.
     """
-    shifted, ref = eval_shifted(model, grid, ell)
     f = scenario_factors(grid, scenario.at(0.0))
-    # Squared in the model's output buffer where it may be overwritten: one
-    # N-sized array per location, not three.
-    sq = np.subtract(shifted, ref, out=shifted if shifted.flags.writeable else None)
-    sq *= sq
-    return 0.5 * float(f.pre @ (sq @ f.post) @ f.x_block[0])
+    out = np.empty(scenario.n_locations)
+    for i, ell in enumerate(scenario.locations):
+        # Squared in place: one N-sized array per location, not three.
+        sq = eval_deviation(model, grid, ell)
+        sq *= sq
+        out[i] = 0.5 * float(f.pre @ (sq @ f.post) @ f.x_block[0])
+    return out

@@ -223,8 +223,8 @@ def test_linear_model_analytic_variogram_values():
         Dim("alpha", -1.0, 1.0, 5, "alpha"),
     )))
     model_2d = parse_expression("3*x + 0*a", ["x", "a"])
-    scenario = MeasurementScenario([0.0], sigma_ell, 0.25)
-    delta_sq = local_square_deviation(model_2d, 7.0, scenario, dev_grid)
+    scenario = MeasurementScenario([7.0], sigma_ell, 0.25)
+    (delta_sq,) = local_square_deviation(model_2d, dev_grid, scenario)
     delta_err = abs(delta_sq / (a**2 * sigma_ell**2 / 2) - 1.0)
 
     ok = max(gamma_errs) < 1e-9 and gamma_int_err < 1e-9 and delta_err < 1e-4
@@ -363,12 +363,12 @@ def test_deviation_moments_consistent_with_local_square_deviation():
 
     c = dev.delta_centers
     b = dev.bin_width
+    targets = local_square_deviation(model, grid, scenario)
     worst = 0.0
     all_ok = True
-    for i, ell in enumerate(locations):
+    for i, target in enumerate(targets):
         p = dev.values[:, i]
         half_second_moment = 0.5 * float(p @ (c * c))
-        target = local_square_deviation(model, float(ell), scenario, grid)
         # Binning moves each sample of the statistic by at most b/2; the
         # induced bound on the (half) second moment uses two bin widths.
         tol = b * float(p @ np.abs(c)) + b * b

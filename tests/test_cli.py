@@ -130,6 +130,36 @@ def test_propagate_rejects_sidecar_of_other_model_or_grid(config, tmp_path, caps
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_propagate_rejects_sidecar_of_other_k(config, tmp_path, capsys):
+    build_dir = tmp_path / "build"
+    main(["build-matrix", "--config", str(config), "--out-dir", str(build_dir)])
+    other = tmp_path / "other.yaml"
+    other.write_text(CONFIG.replace("k: 40", "k: 7"))
+    rc = main([
+        "propagate", "--config", str(other), "--out-dir", str(tmp_path / "o"),
+        "--matrix", str(build_dir / "model_matrix.vupm"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "K = 40" in err and "output.k is 7" in err
+    assert not (tmp_path / "o" / "output_matrix.csv").exists()
+
+
+def test_propagate_accepts_constant_sidecar_collapsed_to_one_bin(tmp_path):
+    # A constant model's matrix has one bin whatever output.k asked for.
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG.replace("builtin: ipsa2d", 'expression: "3"\n  variables: [x, alpha]'))
+    build_dir = tmp_path / "build"
+    assert main(["build-matrix", "--config", str(config), "--out-dir", str(build_dir)]) == 0
+    assert json.loads((build_dir / "manifest.json").read_text())["matrix"]["K"] == 1
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", str(config), "--out-dir", str(out),
+                 "--matrix", str(build_dir / "model_matrix.vupm")]) == 0
+    _, centers, values = _read_heatmap(out / "output_matrix.csv")
+    assert centers.tolist() == [3.0]
+    assert values == pytest.approx(np.ones((1, 3)), abs=1e-12)
+
+
 def test_propagate_carries_build_record_forward(config, tmp_path, capsys):
     # propagate overwrites the build's manifest when both share a directory;
     # the copied record keeps later runs checked.

@@ -126,6 +126,12 @@ def test_scenario_validation():
     assert np.allclose(s.location_weights(), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scenario_rejects_non_finite_locations(bad):
+    with pytest.raises(GridError, match=rf"location {bad!r} \(index 1\) is not finite"):
+        MeasurementScenario([0.5, bad, np.nan], 0.3, 0.2)
+
+
 def test_scenario_matrix_absolute_columns():
     g = make_grid(GridSpec((Dim("x", -5, 5, 50), Dim("a", -1, 1, 20, "alpha"))))
     sc = MeasurementScenario([-1.0, 0.0, 2.0], 0.5, 0.25)

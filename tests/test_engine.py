@@ -36,7 +36,7 @@ from vuprop.errors import (
     NoSupportError,
     SidecarFormatError,
 )
-from vuprop.models import eval_shifted
+from vuprop.models import _eval_broadcast
 
 
 def _grid(lower=-4.0, upper=4.0, count=64):
@@ -357,7 +357,8 @@ def test_build_under_12_and_fold_under_6_bytes_per_node():
 
 def _shifted_matrix(model, grid, ell, K):
     """Matrix of x -> M(ell + x, alpha) on a grid in deviation coordinates."""
-    return build_model_matrix(eval_shifted(model, grid, ell)[0].ravel(), K, grid=grid)
+    shifted = _eval_broadcast(model, grid, grid.axes[grid.spec.x_index()] + ell)
+    return build_model_matrix(shifted.ravel(), K, grid=grid)
 
 
 def test_shifted_matrix_matches_absolute_convention():

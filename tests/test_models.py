@@ -8,7 +8,7 @@ from vuprop import Dim, GridSpec, builtin, eval_on_grid, make_grid, parse_expres
 from vuprop import grid as grid_module
 from vuprop.errors import EvaluationError, ExpressionError
 from vuprop.models import (
-    ModelFunction, eval_ast, eval_at_locations, eval_shifted, parse_ast, pretty, x_first,
+    ModelFunction, eval_ast, eval_at_locations, eval_deviation, parse_ast, pretty, x_first,
 )
 
 
@@ -188,36 +188,49 @@ def test_models_are_deterministic():
     assert np.array_equal(m.raw(x, a), m.raw(x, a))
 
 
+# The eval_shifted tests below check eval_deviation, the evaluation on the
+# grid shifted by ell minus its reference at ell.
+
 def test_eval_shifted_views_and_values():
-    # x in the middle: (n_pre, nx, n_post) = (3, 5, 4); the reference is
-    # evaluated on the alpha sub-grid only.
+    # x in the middle: (n_pre, nx, n_post) = (3, 5, 4).
     g = make_grid(GridSpec((Dim("a", -1, 1, 3, "alpha"), Dim("x", -2, 2, 5),
                             Dim("b", 0, 1, 4, "alpha"))))
     model = parse_expression("sin(x)*a + x^2*b", ["a", "x", "b"])
-    shifted, ref = eval_shifted(model, g, 0.3)
-    assert shifted.shape == (3, 5, 4)
-    assert ref.shape == (3, 1, 4)
+    dev = eval_deviation(model, g, 0.3)
+    assert dev.shape == (3, 5, 4)
     a, x, b = (g.nodes[:, d] for d in range(3))
-    assert np.array_equal(shifted.ravel(), model.raw(a, x + 0.3, b))
-    full_ref = model.raw(a, np.full(g.size, 0.3), b)
-    assert np.array_equal(np.broadcast_to(ref, shifted.shape).ravel(), full_ref)
+    want = model.raw(a, x + 0.3, b) - model.raw(a, np.full(g.size, 0.3), b)
+    assert np.array_equal(dev.ravel(), want)
 
 
 def test_eval_shifted_hands_over_only_fresh_outputs():
     g = make_grid(GridSpec((Dim("x", -1, 1, 4), Dim("a", -1, 1, 3, "alpha"))))
-    assert eval_shifted(builtin("ipsa2d"), g, 0.3)[0].flags.writeable
-    assert not eval_shifted(parse_expression("x", ["x", "a"]), g, 0.3)[0].flags.writeable
     one_x = make_grid(GridSpec((Dim("x", -1, 1, 1), Dim("a", -1, 1, 3, "alpha"))))
-    # Full-size, but the alpha input itself.
-    assert not eval_shifted(parse_expression("a", ["x", "a"]), one_x, 0.3)[0].flags.writeable
+    # The last returns the alpha input itself at full size.
+    for model, grid in [(builtin("ipsa2d"), g), (parse_expression("x", ["x", "a"]), g),
+                        (parse_expression("a", ["x", "a"]), one_x)]:
+        axes = [a.copy() for a in grid.axes]
+        dev = eval_deviation(model, grid, 0.3)
+        assert dev.flags.writeable
+        assert not any(np.shares_memory(dev, axis) for axis in grid.axes)
+        dev[...] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(axes, grid.axes))
+    # A full-size output the model allocated is reused for the difference.
+    outputs = []
+
+    def kept(x, a):
+        outputs.append(x + a)
+        return outputs[-1]
+
+    assert np.shares_memory(eval_deviation(ModelFunction("kept", 2, kept), g, 0.3), outputs[0])
 
 
 def test_eval_shifted_errors():
     g = make_grid(GridSpec((Dim("x", -1, 1, 4), Dim("a", -1, 1, 3, "alpha"))))
-    with pytest.raises(EvaluationError, match="non-finite"):
-        eval_shifted(parse_expression("1/x + a", ["x", "a"]), g, 0.0)  # 1/ell
+    with pytest.raises(EvaluationError, match=r"non-finite on shifted grid at ell=0\.0"):
+        eval_deviation(parse_expression("1/x + a", ["x", "a"]), g, 0.0)  # 1/ell
     with pytest.raises(EvaluationError, match="arity"):
-        eval_shifted(parse_expression("x", ["x"]), g, 0.0)
+        eval_deviation(parse_expression("x", ["x"]), g, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -232,9 +245,9 @@ def test_eval_shifted_rejects_non_finite_outputs_in_either_part(bad, where):
         return np.where(x == at, bad, x) + a
 
     with pytest.raises(EvaluationError, match=r"non-finite on shifted grid at ell=0\.25"):
-        eval_shifted(ModelFunction("bad", 2, fn), g, ell)
+        eval_deviation(ModelFunction("bad", 2, fn), g, ell)
     finite = ModelFunction("ok", 2, lambda x, a: x + a)
-    assert all(np.isfinite(y).all() for y in eval_shifted(finite, g, ell))
+    assert np.isfinite(eval_deviation(finite, g, ell)).all()
 
 
 def test_x_first_moves_the_x_input_to_the_front():

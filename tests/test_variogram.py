@@ -123,8 +123,8 @@ def test_local_square_deviation_linear_closed_form():
         Dim("x", -3.0, 3.0, 1200), Dim("alpha", -1, 1, 11, "alpha"),
     )))
     model = parse_expression("4*x + a", ["x", "a"])
-    sc = MeasurementScenario([0.0], 0.5, 0.25)
-    got = local_square_deviation(model, 123.0, sc, grid)
+    sc = MeasurementScenario([123.0], 0.5, 0.25)
+    (got,) = local_square_deviation(model, grid, sc)
     assert got == pytest.approx(16 * 0.5**2 / 2, rel=1e-3)
 
 
@@ -134,7 +134,7 @@ def test_local_square_deviation_matches_brute_force():
     )))
     model = builtin("ipsa2d")
     sc = MeasurementScenario([1.0], 0.4, 0.3)
-    got = local_square_deviation(model, 1.0, sc, grid)
+    (got,) = local_square_deviation(model, grid, sc)
     # Independent loop over all grid cells.
     from vuprop import gaussian_on_grid
 
@@ -152,8 +152,18 @@ def test_local_square_deviation_leaves_grid_axes_alone():
     grid = make_grid(GridSpec((Dim("x", -1, 1, 1), Dim("a", -1, 1, 5, "alpha"))))
     axes = [a.copy() for a in grid.axes]
     sc = MeasurementScenario(np.array([0.3]), 0.4, 0.25)
-    assert local_square_deviation(parse_expression("a", ["x", "a"]), 0.3, sc, grid) == 0.0
+    assert local_square_deviation(parse_expression("a", ["x", "a"]), grid, sc).tolist() == [0.0]
     assert all(np.array_equal(a, b) for a, b in zip(axes, grid.axes))
+
+
+def test_local_square_deviation_is_per_location():
+    # Each entry is its own location's value, whatever the others are.
+    grid = make_grid(GridSpec((Dim("x", -1.5, 1.5, 31), Dim("a", -1, 1, 5, "alpha"))))
+    model = builtin("ipsa2d")
+    sc = MeasurementScenario([99.0, 3.0, -0.5], 0.5, 0.25)
+    alone = [local_square_deviation(model, grid, sc.at(ell))[0] for ell in sc.locations]
+    assert local_square_deviation(model, grid, sc).tolist() == alone
+    assert len(set(alone)) == 3
 
 
 def test_variogram_requires_1d_grid():
@@ -193,11 +203,11 @@ def test_local_square_deviation_matches_fsum_quadrature(layout):
     dims, text = _LAYOUTS[layout]
     grid = make_grid(GridSpec(dims))
     model = parse_expression(text, [d.name for d in dims])
-    sc = MeasurementScenario([0.0], 0.3, 0.6)
-    for ell in (-2.3, 0.0, 0.7, 1.9):
-        got = local_square_deviation(model, ell, sc, grid)
-        want = _local_square_deviation_fsum(model, ell, sc, grid)
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    sc = MeasurementScenario([-2.3, 0.0, 0.7, 1.9], 0.3, 0.6)
+    got = local_square_deviation(model, grid, sc)
+    want = [_local_square_deviation_fsum(model, ell, sc, grid) for ell in sc.locations]
+    assert got.shape == (4,)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def _gamma_fsum(model, ell_grid, v, alpha_ref):
