@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bench import Thresholds, assert_complexity, run_sweep
 from .config import RunConfig
-from .distributions import TRUNCATION_SIGMAS
+from .distributions import deviation_grid
 from .engine import (
     OutputBinning,
     load_matrix,
@@ -194,13 +193,15 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
     scenario = cfg.scenario()
     opts = cfg.output()
     xd = grid.spec.x_index()
-    x_dim = grid.spec.dims[xd]
-    if scenario.sigma_ell < x_dim.step / 10:
-        print(f"warning: sigma_ell = {scenario.sigma_ell} is below a tenth of the grid step "
-              f"{x_dim.step}; columns degenerate toward deltas", file=sys.stderr)
     if opts["deviation_reference"] == "alpha-matched":
-        out, ipsa = None, deviation_statistic_matrix(model, grid, scenario, opts["k"])
+        out, ipsa = None, deviation_statistic_matrix(model, deviation_grid(grid, scenario),
+                                                     scenario, opts["k"])
     else:
+        step = grid.spec.dims[xd].step  # only shared-matrix columns sit on the x nodes
+        if opts["shared_matrix"] and scenario.sigma_ell < step / 10:
+            print(f"warning: sigma_ell = {scenario.sigma_ell} is below a tenth of the grid step "
+                  f"{step}; columns degenerate toward deltas; set output.shared_matrix: false",
+                  file=sys.stderr)
         out = output_matrix(model, grid, scenario, opts["k"],
                             shared_matrix=opts["shared_matrix"])
         y_ref = reference_curve(x_first(model, xd), scenario.locations)
@@ -247,12 +248,8 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
                                     "expectation": res.expectation}
         gamma_rows.extend(zip(res.v_grid, res.gamma))
     _write_rows(out_dir / "gamma.csv", ["v", "gamma"], sorted(set(gamma_rows)))
-    half = TRUNCATION_SIGMAS * scenario.sigma_ell  # deviation coordinates: +-half in x
-    dims = list(grid.spec.dims)
-    dims[xd] = replace(x_dim, lower=-half, upper=half)
-    dev_grid = make_grid(GridSpec(tuple(dims)))
-    _write_rows(out_dir / "delta_sq.csv", ["ell", "delta_sq"],
-                zip(scenario.locations, local_square_deviation(model, dev_grid, scenario)))
+    delta_sq = local_square_deviation(model, deviation_grid(grid, scenario), scenario)
+    _write_rows(out_dir / "delta_sq.csv", ["ell", "delta_sq"], zip(scenario.locations, delta_sq))
     return {"integrated": results}
 
 

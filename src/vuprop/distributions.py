@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDistributionError, GridError
-from .grid import Grid
+from .grid import Grid, GridSpec, make_grid
 
 SUM_TOL = 1e-9
 
@@ -168,6 +168,17 @@ def delta_on_grid(grid: Grid, point) -> ProbabilityVector:
     values = np.zeros(grid.size)
     values[flat] = 1.0
     return ProbabilityVector(values, grid)
+
+
+def deviation_grid(grid: Grid, scenario: MeasurementScenario) -> Grid:
+    """The grid with x the deviation from a location: +-TRUNCATION_SIGMAS sigma_ell
+    around 0 at the same count, name and role; the other dims are the same
+    objects. Both deviation sweeps (`vars`, alpha-matched `ipsa`) run on it."""
+    xd = grid.spec.x_index()
+    half = TRUNCATION_SIGMAS * scenario.sigma_ell
+    dims = list(grid.spec.dims)
+    dims[xd] = replace(dims[xd], lower=-half, upper=half)
+    return make_grid(GridSpec(tuple(dims)))
 
 
 def scenario_sigma(grid: Grid, scenario: MeasurementScenario) -> np.ndarray:

@@ -224,7 +224,8 @@ def deviation_statistic_matrix(
     against a reference at the same alpha instead of the alpha mode.
 
     The grid's x-coordinate is the deviation from the location, so every
-    location propagates the Gaussian centred at x = 0, on one binning.
+    location propagates the Gaussian centred at x = 0, on one binning. The
+    CLI passes `distributions.deviation_grid(grid, scenario)`.
     """
     base_col = scenario_factors(grid, scenario.at(0.0)).column(0)
     values, binning = _binned_sweep(

@@ -220,7 +220,8 @@ def local_square_deviation(
 ) -> np.ndarray:
     """Expected squared deviation of the response at each of the scenario's
     locations under its truncated-Gaussian measurement uncertainty, (L,), by
-    midpoint quadrature over a deviation-coordinate (x, alpha) grid.
+    midpoint quadrature over a deviation-coordinate (x, alpha) grid; the CLI
+    passes `distributions.deviation_grid(grid, scenario)`.
 
     The Gaussian is separable and the same at every location in deviation
     coordinates, so half the sum of p * s^2 contracts s^2 with one set of

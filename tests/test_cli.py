@@ -9,6 +9,7 @@ import yaml
 from vuprop import grid as grid_module
 from vuprop.cli import _write_heatmap, _write_ipsa, main
 from vuprop.config import RunConfig
+from vuprop.distributions import deviation_grid
 from vuprop.engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model
 from vuprop.grid import make_grid
 from vuprop.ipsa import deviation_statistic_matrix, output_matrix, reference_curve, to_deviations
@@ -214,6 +215,18 @@ def test_ipsa_warns_on_tiny_sigma(config, tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["shared_matrix: false", "deviation_reference: alpha-matched"])
+def test_ipsa_tiny_sigma_off_the_shared_matrix_is_silent(tmp_path, capsys, option):
+    # Local windows and the deviation grid both span 8 sigma_ell with the
+    # grid's x count, so their step is sigma_ell-sized however fine sigma_ell is.
+    config = tmp_path / "run.yaml"
+    text = CONFIG.replace("sigma_ell: 0.4", "sigma_ell: 0.0005").replace(
+        "lower: -4.0, upper: 4.0, count: 80", "lower: -2.0, upper: 2.0, count: 400")
+    config.write_text(_with_output(text, option))
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_ipsa_alpha_matched_reference(config, tmp_path):
     amatched = tmp_path / "am.yaml"
     amatched.write_text(CONFIG.replace(
@@ -366,7 +379,8 @@ def test_alpha_matched_ipsa_heatmap_bytes_match_csv_writer(tmp_path):
     out = tmp_path / "out"
     assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
     cfg = RunConfig.load(config)
-    ipsa = deviation_statistic_matrix(cfg.model(), make_grid(cfg.grid_spec()), cfg.scenario(), 40)
+    grid = deviation_grid(make_grid(cfg.grid_spec()), cfg.scenario())
+    ipsa = deviation_statistic_matrix(cfg.model(), grid, cfg.scenario(), 40)
     _write_heatmap_csv(tmp_path / "ipsa.csv", ipsa.locations, ipsa.delta_centers, ipsa.values)
     assert (out / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
     assert not (out / "output_matrix.csv").exists()
@@ -874,3 +888,44 @@ def test_plain_mc_builds_no_model_matrix(config, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["mc", "--config", str(config), "--out-dir", str(out)]) == 0
     assert (out / "mc_matrix.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _deviation_run(tmp_path, name, x_first, x_range):
+    """alpha-matched ipsa and vars on one scenario, with x on x_range (None:
+    no grid section) and the default grid's counts and alpha extent."""
+    variables = ["x", "alpha"] if x_first else ["alpha", "x"]
+    config = {
+        "model": {"expression": "x^2 + 5*sin(3*x) + alpha", "variables": variables},
+        "scenario": {"locations": [2.0, 2.5, 3.0, 3.5], "sigma_ell": 0.1, "sigma_alpha": 0.25},
+        "output": {"k": 200, "deviation_reference": "alpha-matched"},
+    }
+    if x_range is not None:
+        x = {"name": "x", "lower": x_range[0], "upper": x_range[1], "count": 200}
+        alpha = {"name": "alpha", "lower": -1.0, "upper": 1.0, "count": 50, "role": "alpha"}
+        config["grid"] = {"dims": [x, alpha] if x_first else [alpha, x]}
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / name
+    for command in ("ipsa", "vars"):
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("x_first", [True, False])
+def test_alpha_matched_ipsa_runs_on_the_deviation_grid_of_vars(tmp_path, x_first):
+    # The grid's x range only says where the locations may lie: the deviations
+    # of alpha-matched ipsa, like those of vars, span +-4 sigma_ell around 0.
+    runs = [_deviation_run(tmp_path, f"x{i}", x_first, r)
+            for i, r in enumerate([(1.0, 5.0), (-2.0, 2.0)] + [None] * x_first)]
+    for name in ("ipsa_matrix.csv", "summary.csv"):
+        for other in runs[1:]:
+            assert (other / name).read_bytes() == (runs[0] / name).read_bytes(), name
+    _, centers, values = _read_heatmap(runs[0] / "ipsa_matrix.csv")
+    b = centers[1] - centers[0]
+    summary = _read_numbers(runs[0] / "summary.csv")
+    delta_sq = _read_numbers(runs[0] / "delta_sq.csv")
+    assert np.array_equal(summary[:, 0], delta_sq[:, 0])
+    for i, (mean, var, target) in enumerate(zip(summary[:, 1], summary[:, 2], delta_sq[:, 1])):
+        # The bound of the acceptance suite's deviation-moment check.
+        tol = b * float(values[:, i] @ np.abs(centers)) + b * b
+        assert abs(0.5 * (var + mean * mean) - target) <= tol, (i, 0.5 * (var + mean * mean), target)

@@ -14,7 +14,13 @@ from vuprop import (
     scenario_matrix,
     uniform_on_grid,
 )
-from vuprop.distributions import SUM_TOL, ProbabilityVector, _normalize, scenario_factors
+from vuprop.distributions import (
+    SUM_TOL,
+    ProbabilityVector,
+    _normalize,
+    deviation_grid,
+    scenario_factors,
+)
 from vuprop.errors import DegenerateDistributionError, GridError
 
 
@@ -194,6 +200,24 @@ def test_scenario_at_one_location():
     col = scenario_factors(g, one).column(0)
     ref = gaussian_on_grid(g, (0.0, 0.0), (0.5, 0.25)).values
     assert np.allclose(col, ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("xd", [0, 1, 2])
+def test_deviation_grid_replaces_only_x(xd):
+    alphas = [Dim("a", -1.0, 1.0, 5, "alpha"), Dim("b", 0.0, 3.0, 4, "alpha")]
+    x = Dim("ell", 2.0, 9.0, 7, "x")
+    dims = alphas[:xd] + [x] + alphas[xd:]
+    dev = deviation_grid(make_grid(GridSpec(tuple(dims))), MeasurementScenario([5.0], 0.3, 0.2))
+    others = [d for i, d in enumerate(dev.spec.dims) if i != xd]
+    assert len(others) == 2 and all(d is a for d, a in zip(others, alphas))
+    assert dev.spec.dims[xd] == Dim("ell", -4 * 0.3, 4 * 0.3, 7, "x")
+
+
+@pytest.mark.parametrize("roles", [("alpha", "alpha"), ("x", "x")])
+def test_deviation_grid_needs_one_x_dimension(roles):
+    grid = make_grid(GridSpec((Dim("a", -1.0, 1.0, 3, roles[0]), Dim("b", -1.0, 1.0, 3, roles[1]))))
+    with pytest.raises(GridError, match="exactly one x dimension"):
+        deviation_grid(grid, MeasurementScenario([0.0], 0.3, 0.2))
 
 
 def test_normalize_is_idempotent():
