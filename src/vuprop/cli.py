@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 import time
@@ -104,11 +103,6 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _grid_hash(spec) -> str:
-    blob = json.dumps([[d.name, d.lower, d.upper, d.count, d.role] for d in spec.dims]).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _manifest(out_dir: Path, cfg: RunConfig, command: str, extra: dict, t0: float):
     manifest = {
         "command": command,
@@ -128,16 +122,13 @@ def cmd_build_matrix(cfg: RunConfig, out_dir: Path, args) -> dict:
     matrix = matrix_from_model(model, grid, cfg.output()["k"])
     sidecar = out_dir / "model_matrix.vupm"
     save_matrix(sidecar, matrix)
-    return {
-        "sidecar": sidecar.name,
-        "matrix": matrix_manifest(matrix, {"grid_hash": _grid_hash(grid.spec),
-                                           "model_hash": model.digest}),
-    }
+    return {"sidecar": sidecar.name, "matrix": matrix_manifest(matrix)}
 
 
-def _build_record(matrix_path, grid, model) -> dict | None:
-    """The sidecar's build record from the manifest.json beside it, checked
-    against the config's grid and model; None (with a warning) if absent."""
+def _build_record(matrix_path, matrix) -> dict | None:
+    """The sidecar's build record from the manifest.json beside it, its grid
+    and model checked against `matrix_manifest` of the sidecar as loaded on
+    the config's grid and model; None (with a warning) if either is absent."""
     manifest_path = Path(matrix_path).parent / "manifest.json"
     record = {}
     if manifest_path.exists():
@@ -148,12 +139,12 @@ def _build_record(matrix_path, grid, model) -> dict | None:
                 raise VupropError(f"{manifest_path}: unreadable manifest: {exc}") from None
         if isinstance(manifest, dict) and isinstance(manifest.get("matrix"), dict):
             record = manifest["matrix"]
-    expected = {"grid_hash": _grid_hash(grid.spec), "model_hash": model.digest}
-    for key, value in expected.items():
-        if key in record and record[key] != value:
+    expected, checked = matrix_manifest(matrix), ("grid", "model")
+    for key in checked:
+        if key in record and record[key] != expected[key]:
             raise VupropError(f"{matrix_path}: sidecar was built on a different "
-                              f"{key.split('_')[0]} than the config")
-    if not all(key in record for key in expected):
+                              f"{key} than the config")
+    if not all(key in record for key in checked):
         print(f"warning: no build record for {matrix_path} in {manifest_path}; "
               "its grid and model are unchecked", file=sys.stderr)
         return None
@@ -172,7 +163,7 @@ def cmd_propagate(cfg: RunConfig, out_dir: Path, args) -> dict:
     else:
         matrix = load_matrix(args.matrix, grid=grid, model_name=model.name)
         extra["matrix_source"] = "loaded"
-        record = _build_record(args.matrix, grid, model)
+        record = _build_record(args.matrix, matrix)
         # A constant-output build collapses to one bin, whatever K it was asked for.
         if matrix.K != k and not (matrix.K == 1 and matrix.binning.y_min == matrix.binning.y_max):
             raise ConfigError(f"{args.matrix}: sidecar has K = {matrix.K} output bins, "

@@ -112,8 +112,7 @@ class MeasurementScenario:
 
 
 def _axis_gaussian(axis: np.ndarray, mean, sigma) -> np.ndarray:
-    """Unnormalized Gaussian density exp(-z^2 / 2) at the nodes of an axis;
-    mean broadcasts against axis, so an (L, 1) column of means gives (L, n)."""
+    """Unnormalized Gaussian density exp(-z^2 / 2) at the nodes of an axis."""
     z = (axis - mean) / sigma
     return np.exp(-0.5 * z * z)
 
@@ -195,7 +194,7 @@ class ScenarioFactors:
     On the grid viewed as (n_pre, nx, n_post) -- the alpha dims before x,
     x, the alpha dims after x -- column i is
     pre[:, None, None] * x_block[i][None, :, None] * post[None, None, :].
-    Each x_block row already carries its column's normalization.
+    pre, post and each x_block row sum to 1, so every column does.
     """
 
     pre: np.ndarray  # (n_pre,) outer product of the alpha factors before x
@@ -210,10 +209,15 @@ class ScenarioFactors:
 
 
 def scenario_factors(grid: Grid, scenario: MeasurementScenario, x_nodes=None) -> ScenarioFactors:
-    """Per-axis factors of every scenario column, normalized.
+    """Per-axis factors of every scenario column, each normalized by its own sum.
 
     Row i of the x factor is at x_nodes[i] ((L, nx); by default the grid's x
     axis). Costs O(N / nx + L * nx): only the x factor depends on the location.
+    Each x row is exp(-(z^2 - min z^2) / 2), relative to its nearest node, so
+    its largest entry is 1 and its sum never leaves the normal range however
+    far the location lies. A location carries no mass when its unshifted
+    largest entry exp(-min z^2 / 2) underflows to 0 (beyond about 38.6
+    sigma_ell), as does every location when an alpha factor sums to 0.
     """
     xd = grid.spec.x_index()
     sigma = scenario_sigma(grid, scenario)
@@ -222,26 +226,27 @@ def scenario_factors(grid: Grid, scenario: MeasurementScenario, x_nodes=None) ->
     elif np.shape(x_nodes) != (scenario.n_locations, grid.spec.counts[xd]):
         raise GridError(f"x_nodes has shape {np.shape(x_nodes)}, expected (L, nx) = "
                         f"({scenario.n_locations}, {grid.spec.counts[xd]})")
-    pre = np.ones(1)
-    for d in range(xd):
-        pre = np.multiply.outer(pre, _axis_gaussian(grid.axes[d], 0.0, sigma[d])).ravel()
-    post = np.ones(1)
-    for d in range(xd + 1, grid.ndim):
-        post = np.multiply.outer(post, _axis_gaussian(grid.axes[d], 0.0, sigma[d])).ravel()
-    # (L, nx): one row of x factors per location
-    x_block = _axis_gaussian(x_nodes, scenario.locations[:, None], sigma[xd])
-    # Column sums factor over axes (sum of an outer product is the product of
-    # the factor sums), so normalization folds into the x-block up front and
-    # needs no pass over an assembled column.
-    totals = pre.sum() * x_block.sum(axis=1) * post.sum()
-    bad = np.flatnonzero(totals <= 0.0)
-    if bad.size:
+    alpha = [_axis_gaussian(grid.axes[d], 0.0, sigma[d]) for d in range(grid.ndim) if d != xd]
+    z = (x_nodes - scenario.locations[:, None]) / sigma[xd]  # (L, nx)
+    sq = z * z
+    nearest = sq.min(axis=1)
+    bad = np.flatnonzero(np.exp(-0.5 * nearest) == 0.0)
+    if bad.size or any(f.sum() == 0.0 for f in alpha):
         raise DegenerateDistributionError(
-            f"location ell={scenario.locations[bad[0]]} carries no mass on {grid!r} "
-            "(mean too far outside the grid)"
+            f"location ell={scenario.locations[bad[0] if bad.size else 0]} carries no mass "
+            f"on {grid!r} (mean too far outside the grid)"
         )
-    x_block /= totals[:, None]
-    return ScenarioFactors(pre, x_block, post)
+    x_block = np.exp(-0.5 * (sq - nearest[:, None]))
+    x_block /= x_block.sum(axis=1)[:, None]
+    return ScenarioFactors(_outer(alpha[:xd]), x_block, _outer(alpha[xd:]))
+
+
+def _outer(factors) -> np.ndarray:
+    """Flattened outer product of axis factors, each normalized by its own sum."""
+    out = np.ones(1)
+    for f in factors:
+        out = np.multiply.outer(out, f / f.sum()).ravel()
+    return out
 
 
 def scenario_matrix(grid: Grid, scenario: MeasurementScenario) -> ProbabilityMatrix:

@@ -342,7 +342,9 @@ def load_matrix(path, grid: Grid | None = None, model_name: str = "") -> SparseM
     return SparseModelMatrix(bin_of, binning, grid, model_name)
 
 
-def matrix_manifest(matrix: SparseModelMatrix, extra: dict | None = None) -> dict:
+def matrix_manifest(matrix: SparseModelMatrix) -> dict:
+    """A sidecar's build record, as JSON: `build-matrix` writes it into
+    manifest.json, and `propagate --matrix` checks its grid and model."""
     manifest = {
         "model": matrix.model_name,
         "N": matrix.N,
@@ -355,6 +357,4 @@ def matrix_manifest(matrix: SparseModelMatrix, extra: dict | None = None) -> dic
             {"name": d.name, "lower": d.lower, "upper": d.upper, "count": d.count, "role": d.role}
             for d in matrix.grid.spec.dims
         ]
-    if extra:
-        manifest.update(extra)
     return manifest

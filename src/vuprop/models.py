@@ -7,7 +7,6 @@ hard errors, never silently binned.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -57,10 +56,6 @@ class ModelFunction:
         """Vectorized evaluation without the finiteness check."""
         with np.errstate(all="ignore"):
             return np.asarray(self.fn(*args), dtype=float)
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.name.encode()).hexdigest()
 
 
 # --- built-in models ---------------------------------------------------------

@@ -9,7 +9,7 @@ import yaml
 from vuprop import grid as grid_module
 from vuprop.cli import _write_heatmap, _write_ipsa, main
 from vuprop.config import RunConfig
-from vuprop.distributions import deviation_grid
+from vuprop.distributions import SUM_TOL, deviation_grid
 from vuprop.engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model
 from vuprop.grid import make_grid
 from vuprop.ipsa import deviation_statistic_matrix, output_matrix, reference_curve, to_deviations
@@ -67,7 +67,13 @@ def test_build_matrix_writes_sidecar_and_manifest(config, tmp_path):
     assert manifest["seed"] == 7
     assert manifest["matrix"]["N"] == 80 * 20
     assert manifest["matrix"]["K"] == 40
-    assert "grid_hash" in manifest["matrix"]
+    record = manifest["matrix"]
+    assert record["grid"] == [
+        {"name": "x", "lower": -4.0, "upper": 4.0, "count": 80, "role": "x"},
+        {"name": "alpha", "lower": -1.0, "upper": 1.0, "count": 20, "role": "alpha"},
+    ]
+    assert record["model"] == "builtin:ipsa2d"
+    assert not [key for key in record if key.endswith("_hash")]
 
 
 def test_propagate_columns_normalized(config, tmp_path):
@@ -189,6 +195,66 @@ def test_propagate_warns_without_build_record(config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("warning:") and len(err.strip().splitlines()) == 1
     assert "matrix" not in json.loads((tmp_path / "o" / "manifest.json").read_text())
+
+
+def test_propagate_checks_a_record_with_hash_keys_by_its_grid_and_model(config, tmp_path,
+                                                                        capsys):
+    # Earlier versions wrote SHA-256 hashes of the record's grid and model next
+    # to them (these are CONFIG's); those keys are ignored, and the fields
+    # themselves are checked.
+    build_dir = tmp_path / "build"
+    main(["build-matrix", "--config", str(config), "--out-dir", str(build_dir)])
+    manifest = json.loads((build_dir / "manifest.json").read_text())
+    manifest["matrix"].update(
+        grid_hash="55be301b7614713130197628be8422b1c36f548bf2a38b10b0524c0c9c9f3a47",
+        model_hash="02bc93d9a0f209955bc70e4347b69cf1416d01f4e54c2dc5f0d01d937a5a7157")
+    (build_dir / "manifest.json").write_text(json.dumps(manifest))
+    matrix = ["--matrix", str(build_dir / "model_matrix.vupm")]
+    assert main(["propagate", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+                + matrix) == 0
+    assert capsys.readouterr().err == ""
+    other = tmp_path / "other.yaml"
+    other.write_text(CONFIG.replace("lower: -4.0, upper: 4.0", "lower: -4.0, upper: 4.5"))
+    assert main(["propagate", "--config", str(other), "--out-dir", str(tmp_path / "p")]
+                + matrix) == 1
+    assert "sidecar was built on a different grid than the config" in capsys.readouterr().err
+
+
+# Grids on which the x row's or the whole product of the factor sums leaves
+# the normal range: a row whose nearest node lies 38.5 sigma_ell away, and a
+# row of sum 2.6e-18 against an alpha factor of sum 4.3e-306.
+_SUBNORMAL_TOTALS = {
+    "x-row": {
+        "model": {"expression": "a - abs(-a)", "variables": ["x", "a"]},
+        "scenario": {"locations": [67.98, 67.9365], "sigma_ell": 0.4, "sigma_alpha": 0.01},
+        "grid": {"dims": [{"name": "x", "lower": 0.001, "upper": 100.001, "count": 3},
+                          {"name": "a", "lower": 0.0, "upper": 0.1, "count": 2,
+                           "role": "alpha"}]},
+        "output": {"k": 50},
+    },
+    "product": {
+        "model": {"builtin": "ipsa2d"},
+        "scenario": {"locations": [0.23, 0.23, 0.23], "sigma_ell": 0.03, "sigma_alpha": 0.02},
+        "grid": {"dims": [{"name": "x", "lower": -4.0, "upper": 4.0, "count": 8},
+                          {"name": "a", "lower": 0.5, "upper": 1.5, "count": 2,
+                           "role": "alpha"}]},
+        "output": {"k": 5},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUBNORMAL_TOTALS))
+@pytest.mark.parametrize("command, csv_name", [("propagate", "output_matrix.csv"),
+                                               ("ipsa", "ipsa_matrix.csv")])
+def test_columns_sum_to_one_where_the_factor_sums_leave_the_normal_range(tmp_path, case,
+                                                                       command, csv_name):
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(_SUBNORMAL_TOTALS[case]))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out-dir", str(out)]) == 0
+    _, _, values = _read_heatmap(out / csv_name)
+    for column in values.T:
+        assert abs(math.fsum(column) - 1.0) <= SUM_TOL
 
 
 def test_ipsa_outputs(config, tmp_path):

@@ -1,9 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and a command
+imports no more than it runs.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of the first check: its imports are the package's
+re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,32 @@ def test_check_counts_names_in_quoted_annotations():
     source = "from pathlib import Path\n\ndef f() -> \"Path\":\n    pass\n"
     assert _unused_imports(source) == []
     assert _unused_imports(source.replace('"Path"', '"str"')) == ["Path (line 1)"]
+
+
+_NO_OPENSSL = """
+import sys
+from vuprop.cli import main
+
+config, out = sys.argv[1:]
+for command in ("propagate", "ipsa", "vars", "build-matrix"):
+    assert main([command, "--config", config, "--out-dir", out]) == 0, command
+assert main(["propagate", "--config", config, "--out-dir", out + "/reuse",
+             "--matrix", out + "/model_matrix.vupm"]) == 0
+assert "_hashlib" not in sys.modules
+"""
+
+
+def test_commands_without_random_numbers_do_not_load_openssl(tmp_path):
+    # OpenSSL (`_hashlib`) costs 3.6 MB of resident memory. `mc` and `bench`
+    # load it anyway: numpy.random imports it through `secrets`.
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "model: {builtin: ipsa2d}\n"
+        "scenario: {locations: [-0.5, 0.0, 0.5], sigma_ell: 0.3, sigma_alpha: 0.2}\n"
+        "grid: {dims: [{name: x, lower: -2.0, upper: 2.0, count: 20},\n"
+        "              {name: a, lower: -1.0, upper: 1.0, count: 5, role: alpha}]}\n"
+        "output: {k: 10}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(vuprop.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _NO_OPENSSL, str(config), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
