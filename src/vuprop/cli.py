@@ -195,16 +195,7 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
                   file=sys.stderr)
         out = output_matrix(model, grid, scenario, opts["k"],
                             shared_matrix=opts["shared_matrix"])
-        y_ref = reference_curve(x_first(model, xd), scenario.locations)
-        b = out.binning  # references within K bins of its range: <= 4K + 1 delta-y rows
-        reach = b.K * b.width
-        far = np.flatnonzero((y_ref < b.y_min - reach) | (y_ref > b.y_max + reach))
-        if far.size:
-            i = int(far[0])
-            raise VupropError(f"reference {float(y_ref[i])!r} at location "
-                              f"{float(scenario.locations[i])!r} lies more than K = {b.K} bins "
-                              f"outside the output range [{b.y_min!r}, {b.y_max!r}]")
-        ipsa = to_deviations(out, y_ref)
+        ipsa = to_deviations(out, reference_curve(x_first(model, xd), scenario.locations))
     _write_ipsa(out_dir, ipsa, out)
     summary = summarize(ipsa, opts["level"], scenario.location_weights())
     _write_rows(

@@ -93,7 +93,7 @@ class MeasurementScenario:
             w = np.asarray(self.weights, float)
             if w.shape != self.locations.shape:
                 raise GridError("weights length must match locations")
-            if np.any(w < 0) or abs(math.fsum(w) - 1.0) > SUM_TOL:
+            if not ((w >= 0).all() and abs(math.fsum(w) - 1.0) <= SUM_TOL):  # nan fails both
                 raise GridError("weights must be non-negative and sum to 1")
             object.__setattr__(self, "weights", w)
 

@@ -27,7 +27,6 @@ class IpsaMatrix:
     values: np.ndarray  # (K, L) each location's output bins
     delta_centers: np.ndarray  # (n_rows,) common delta-y bin centers
     bin_width: float
-    y_ref: np.ndarray  # (L,) reference curve
     locations: np.ndarray  # (L,)
     row_offset: np.ndarray  # (L,) int64
 
@@ -44,7 +43,6 @@ class SummaryFields:
     argmax: np.ndarray  # delta-y with maximum probability, per location
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    level: float
     global_axis: np.ndarray
     global_marginal: np.ndarray
 
@@ -139,18 +137,29 @@ def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
     """Shift each column's axis by its reference value onto a common uniform
     delta-y axis of the same bin width, starting at lo = min(centers[0] - y_ref).
     Column i moves as a whole, down row_offset[i] = round((centers[0] - y_ref[i]
-    - lo) / b) rows, so no bins merge. The columns are out's own values."""
+    - lo) / b) rows, so no bins merge. The columns are out's own values.
+
+    Every reference must lie within K bins of the output range, which bounds
+    the axis at 4K + 1 rows; one that does not, nan included, is an
+    EvaluationError naming its location."""
     y_ref = np.atleast_1d(np.asarray(y_ref, float))
     if y_ref.size != out.n_locations:
         raise GridError(
             f"y_ref has {y_ref.size} entries, output matrix has {out.n_locations} columns"
         )
-    b = out.binning.width
-    first = out.binning.centers[0] - y_ref
+    binning, b = out.binning, out.binning.width
+    reach = binning.K * b
+    far = np.flatnonzero(~((binning.y_min - reach <= y_ref) & (y_ref <= binning.y_max + reach)))
+    if far.size:
+        i = int(far[0])
+        raise EvaluationError(f"reference {float(y_ref[i])!r} at location "
+                              f"{float(out.locations[i])!r} lies more than K = {binning.K} bins "
+                              f"outside the output range [{binning.y_min!r}, {binning.y_max!r}]")
+    first = binning.centers[0] - y_ref
     lo = float(first.min())
     row_offset = np.round((first - lo) / b).astype(np.int64)
-    common = lo + np.arange(int(row_offset.max()) + out.binning.K) * b
-    return IpsaMatrix(out.values, common, b, y_ref, out.locations.copy(), row_offset)
+    common = lo + np.arange(int(row_offset.max()) + binning.K) * b
+    return IpsaMatrix(out.values, common, b, out.locations.copy(), row_offset)
 
 
 def _shortest_interval(masses: np.ndarray, level: float) -> tuple[int, int]:
@@ -209,7 +218,7 @@ def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
     total = math.fsum(marginal)
     if total > 0:
         marginal = marginal / total
-    return SummaryFields(ipsa.locations.copy(), mean, variance, argmax, ci_lo, ci_hi, level,
+    return SummaryFields(ipsa.locations.copy(), mean, variance, argmax, ci_lo, ci_hi,
                          ipsa.delta_centers.copy(), marginal)
 
 
@@ -231,7 +240,6 @@ def deviation_statistic_matrix(
     values, binning = _binned_sweep(
         scenario.locations, K,
         lambda i: eval_deviation(model, grid, scenario.locations[i]).ravel(), lambda i: base_col)
-    L = scenario.n_locations
-    # The statistic is already a deviation: zero references, no shift.
-    return IpsaMatrix(values, binning.centers, binning.width, np.zeros(L),
-                      scenario.locations.copy(), np.zeros(L, np.int64))
+    # The statistic is already a deviation: no shift.
+    return IpsaMatrix(values, binning.centers, binning.width, scenario.locations.copy(),
+                      np.zeros(scenario.n_locations, np.int64))

@@ -234,3 +234,9 @@ def test_probability_vector_checks():
     bad = ProbabilityVector(np.array([0.5, 0.6, -0.1, 0.0]), g)
     with pytest.raises(DegenerateDistributionError):
         bad.check()
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan]])
+def test_scenario_rejects_nan_weights(weights):
+    with pytest.raises(GridError, match="weights must be non-negative and sum to 1"):
+        MeasurementScenario([0.0, 1.0], 0.4, 0.25, weights=weights)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from vuprop import (
 )
 from vuprop.distributions import scenario_factors, scenario_sigma
 from vuprop.ipsa import _shortest_interval
-from vuprop.errors import GridError
+from vuprop.errors import EvaluationError, GridError
 
 from ipsa_dense import dense_values
 
@@ -374,8 +375,8 @@ def _assert_close_per_cell(values, expected, rel=1e-14):
 ])
 def test_per_location_modes_match_gaussian_on_grid_columns(dims):
     # gaussian_on_grid normalizes an assembled column by one sum over its N
-    # cells, the scenario factors by the product of their per-axis sums: the
-    # same weights up to rounding, added into the same bins in the same order.
+    # cells, each scenario factor by its own sum: the same weights up to
+    # rounding, added into the same bins in the same order.
     grid = make_grid(GridSpec(dims))
     model = parse_expression("x^2 + 5*sin(3*x) + a*x", [d.name for d in dims])
     sc = _scenario(locations=(-3.9, -0.4, 0.0, 1.3, 3.5))
@@ -449,7 +450,7 @@ def _is_shift(column, source, offset):
     return np.array_equal(np.ascontiguousarray(column).view(np.int64), expected.view(np.int64))
 
 
-def _check_row_offsets(out, ipsa):
+def _check_row_offsets(out, ipsa, y_ref):
     K = out.values.shape[0]
     assert ipsa.values is out.values  # the output matrix's own columns, not a copy
     assert ipsa.row_offset.shape == (out.n_locations,) and ipsa.row_offset.dtype == np.int64
@@ -458,29 +459,39 @@ def _check_row_offsets(out, ipsa):
     for i, offset in enumerate(ipsa.row_offset.tolist()):
         assert _is_shift(dense[:, i], out.values[:, i], offset)
         # Each bin lands within half a bin of its exact deviation.
-        exact = out.binning.centers - ipsa.y_ref[i]
+        exact = out.binning.centers - y_ref[i]
         assert np.abs(ipsa.delta_centers[offset:offset + K] - exact).max() <= (
             0.5 + 1e-9) * ipsa.bin_width + 1e-9 * np.abs(exact).max()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 25), st.floats(-50, 50), st.floats(1e-3, 10.0),
-       st.lists(st.tuples(st.integers(-30, 30),
-                          st.one_of(st.floats(0, 1),
-                                    st.sampled_from([0.0, 0.5, 0.5 - 1e-12, 0.5 + 1e-12]))),
-                min_size=1, max_size=8),
-       st.data())
-def test_to_deviations_row_offsets_reproduce_pure_shifts(K, lo, width, shifts, data):
-    # References sit a whole number of bins plus a fraction away, ties included:
-    # each column still moves as a whole.
+@given(st.integers(1, 25), st.floats(-50, 50), st.floats(1e-3, 10.0), st.data())
+def test_to_deviations_row_offsets_reproduce_pure_shifts(K, lo, width, data):
+    # References sit a whole number of bins plus a fraction away from lo, ties
+    # included, anywhere within K bins of the output range [lo, lo + K * width]:
+    # each column still moves as a whole, onto at most 4K + 1 rows.
     binning = OutputBinning(K, lo, lo + K * width)
     b = binning.width
-    y_ref = np.array([n * b + frac * b for n, frac in shifts])
-    masses = data.draw(st.lists(st.floats(1e-300, 1.0), min_size=K * len(shifts),
-                                max_size=K * len(shifts)))
-    out = OutputProbabilityMatrix(np.reshape(masses, (K, len(shifts))), binning,
-                                  np.arange(len(shifts), dtype=float))
-    _check_row_offsets(out, to_deviations(out, y_ref))
+    floor, ceiling = binning.y_min - K * b, binning.y_max + K * b
+    shifts = data.draw(st.lists(
+        st.tuples(st.integers(-K, 2 * K),
+                  st.one_of(st.floats(0, 1),
+                            st.sampled_from([0.0, 0.5, 0.5 - 1e-12, 0.5 + 1e-12]))),
+        min_size=1, max_size=8))
+    y_ref = np.clip([lo + n * b + frac * b for n, frac in shifts], floor, ceiling)
+    L = y_ref.size
+    masses = data.draw(st.lists(st.floats(1e-300, 1.0), min_size=K * L, max_size=K * L))
+    out = OutputProbabilityMatrix(np.reshape(masses, (K, L)), binning,
+                                  np.arange(L, dtype=float))
+    ipsa = to_deviations(out, y_ref)
+    _check_row_offsets(out, ipsa, y_ref)
+    assert ipsa.delta_centers.size <= 4 * K + 1
+    # One reference just beyond the bound, on either side, is refused by location.
+    i = data.draw(st.integers(0, L - 1))
+    y_ref[i] = data.draw(st.sampled_from([np.nextafter(floor, -np.inf),
+                                          np.nextafter(ceiling, np.inf)]))
+    with pytest.raises(EvaluationError, match=f"at location {float(i)!r} lies more than K = {K} "):
+        to_deviations(out, y_ref)
 
 
 def test_to_deviations_moves_half_bin_ties_and_negative_zero_whole():
@@ -491,13 +502,14 @@ def test_to_deviations_moves_half_bin_ties_and_negative_zero_whole():
     binning = OutputBinning(4, 0.0, 4.0)
     values = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, -0.0], [0.3, 0.3, 0.5], [0.4, 0.4, 0.4]])
     out = OutputProbabilityMatrix(values, binning, np.array([0.0, 1.0, 2.0]))
-    ipsa = to_deviations(out, [0.0, 0.5, 0.5])
+    y_ref = [0.0, 0.5, 0.5]
+    ipsa = to_deviations(out, y_ref)
     assert ipsa.row_offset.tolist() == [0, 0, 0]
     assert ipsa.delta_centers.tolist() == [0.0, 1.0, 2.0, 3.0]
     dense = dense_values(ipsa)
     assert dense[:, 0].tolist() == [0.1, 0.2, 0.3, 0.4]
     assert np.signbit(dense[1, 2]) and np.signbit(dense).sum() == 1
-    _check_row_offsets(out, ipsa)
+    _check_row_offsets(out, ipsa, y_ref)
 
 
 def test_deviation_statistic_matrix_has_no_row_offsets():
@@ -544,10 +556,11 @@ def test_summarize_matches_the_dense_formulas(deviation):
 
 
 def test_summarize_memory_does_not_grow_with_the_reference_spread():
-    # K = 100, L = 20, offsets up to 5e4 rows: the dense (n_rows, L) scatter
-    # would take 8 MB; the columns and their centers take K * L cells, and the
-    # delta-y axis and the marginal n_rows each.
-    K, L = 100, 20
+    # K = 20,000, L = 20, offsets up to 5e4 rows, every reference within K
+    # bins of the output range: the dense (n_rows, L) scatter would grow by
+    # 8 MB between the spreads; the columns and their centers take K * L cells
+    # whatever the spread, and the delta-y axis and the marginal n_rows each.
+    K, L = 20_000, 20
     binning = OutputBinning(K, 0.0, 1.0)
     rng = np.random.default_rng(3)
     values = rng.random((K, L))
@@ -555,7 +568,7 @@ def test_summarize_memory_does_not_grow_with_the_reference_spread():
     out = OutputProbabilityMatrix(values, binning, np.arange(L, dtype=float))
     peaks = {}
     for spread in (10, 50_000):
-        y_ref = -binning.width * np.linspace(0, spread, L)
+        y_ref = binning.y_max + K * binning.width - binning.width * np.linspace(0, spread, L)
         tracemalloc.start()
         try:
             dev = to_deviations(out, y_ref)
@@ -564,5 +577,34 @@ def test_summarize_memory_does_not_grow_with_the_reference_spread():
         finally:
             tracemalloc.stop()
         assert dev.row_offset.max() == spread
-    n_rows = 50_000 + K
-    assert peaks[50_000] - peaks[10] < 6 * 8 * n_rows < 8 * n_rows * L / 3
+    added_rows = 50_000 - 10  # the bound of K = 100 (6 * 8 * 50,100 bytes), not looser
+    assert peaks[50_000] - peaks[10] < 6 * 8 * added_rows < 8 * added_rows * L / 3
+
+
+# --- to_deviations bounds the delta-y axis ------------------------------------
+
+def _four_bins(locations=(0.0, 1.0)):
+    # Centers 0.5 .. 3.5 on [0, 4], K = 4: references within [-4, 8] pass.
+    values = np.full((4, len(locations)), 0.25)
+    return OutputProbabilityMatrix(values, OutputBinning(4, 0.0, 4.0), np.asarray(locations))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+def test_to_deviations_rejects_a_non_finite_or_huge_reference(bad):
+    message = f"reference {float(bad)!r} at location 1.0 lies more than K = 4 bins outside"
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        to_deviations(_four_bins(), [0.5, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(-4.0, -np.inf), np.nextafter(8.0, np.inf)])
+def test_to_deviations_rejects_a_reference_just_beyond_k_bins(bad):
+    with pytest.raises(EvaluationError, match=r"at location 2\.5 lies more than K = 4 bins "
+                                              r"outside the output range \[0\.0, 4\.0\]"):
+        to_deviations(_four_bins((-1.0, 2.5)), [0.5, bad])
+
+
+def test_to_deviations_accepts_references_exactly_k_bins_outside():
+    out = _four_bins()
+    ipsa = to_deviations(out, [-4.0, 8.0])
+    assert ipsa.row_offset.tolist() == [12, 0] and ipsa.delta_centers.size == 16
+    _check_row_offsets(out, ipsa, [-4.0, 8.0])
