@@ -6,6 +6,13 @@ wall-clock fields, for one BLAS build, kernel and thread count: the fold's
 BLAS product moves last digits (1,276 of prop-wide's 50,000 output cells
 between 1 and 2 OpenBLAS threads, 9,445-26,321 between kernels; README).
 Exit codes: 0 success, 1 runtime error, 2 config error.
+
+Every float CSV (the heatmaps and the summary, marginal, variogram and
+square-deviation tables) is written in binary mode, one line at a time: its
+fields are the bytes of `floatrepr.repr_table`, joined with commas, lines end
+in CRLF. Those are the bytes csv.writer wrote over the same floats, which no
+field needs quoting for. csv.writer is left only for bench.csv, whose method
+names and JSON breakdowns it quotes.
 """
 
 from __future__ import annotations
@@ -55,16 +62,30 @@ def _write_heatmap(path, col_labels, row_labels, values):
 
 def _write_heatmap_rows(path, col_labels, row_labels, bodies):
     """_write_heatmap with each row's body (its joined fields) given."""
-    with open(path, "w", newline="") as fh:
-        fh.write("," + ",".join(map(repr, np.asarray(col_labels, float).tolist())) + "\r\n")
-        for label, body in zip(np.asarray(row_labels, float).tolist(), bodies):
-            fh.write(f"{label!r},{body}\r\n")
+    header = [b""] + repr_table(col_labels).tolist()
+    lines = (b"%s,%s\r\n" % line for line in zip(repr_table(row_labels).tolist(), bodies))
+    _write_lines(path, header, lines)
+
+
+def _write_table(path, header, values):
+    """A CSV of float columns (values[:, j] under header[j]): the bytes of
+    csv.writer over the same floats, whose fields are their repr."""
+    _write_lines(path, [name.encode() for name in header],
+                 (body + b"\r\n" for body in _joined(repr_table(values))))
+
+
+def _write_lines(path, header, lines):
+    """The header fields and then the lines (each with its CRLF), in binary
+    mode: one line at a time in memory, never the whole file."""
+    with open(path, "wb") as fh:
+        fh.write(b",".join(header) + b"\r\n")
+        fh.writelines(lines)
 
 
 def _joined(table):
-    """Each row of an S24 repr table as one comma-separated string."""
+    """Each row of an S24 repr table as its comma-separated bytes."""
     for row in table:
-        yield b",".join(row.tolist()).decode()
+        yield b",".join(row.tolist())
 
 
 def _write_ipsa(out_dir, ipsa, out=None):
@@ -94,13 +115,6 @@ def _ipsa_bodies(table, ipsa):
         block = table[src.clip(0, K - 1), cols]
         block[(src < 0) | (src >= K)] = b"0.0"
         yield from _joined(block)
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _manifest(out_dir: Path, cfg: RunConfig, command: str, extra: dict, t0: float):
@@ -198,14 +212,11 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
         ipsa = to_deviations(out, reference_curve(x_first(model, xd), scenario.locations))
     _write_ipsa(out_dir, ipsa, out)
     summary = summarize(ipsa, opts["level"], scenario.location_weights())
-    _write_rows(
-        out_dir / "summary.csv",
-        ["ell", "mean", "var", "argmax", "ci_lo", "ci_hi"],
-        zip(summary.locations, summary.mean, summary.variance, summary.argmax,
-            summary.ci_lower, summary.ci_upper),
-    )
-    _write_rows(out_dir / "global_marginal.csv", ["delta_y", "probability"],
-                zip(summary.global_axis, summary.global_marginal))
+    _write_table(out_dir / "summary.csv", ["ell", "mean", "var", "argmax", "ci_lo", "ci_hi"],
+                 np.column_stack([summary.locations, summary.mean, summary.variance,
+                                  summary.argmax, summary.ci_lower, summary.ci_upper]))
+    _write_table(out_dir / "global_marginal.csv", ["delta_y", "probability"],
+                 np.column_stack([summary.global_axis, summary.global_marginal]))
     return {"K": ipsa.delta_centers.size, "L": ipsa.n_locations,
             "reference": opts["deviation_reference"]}
 
@@ -229,9 +240,11 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
         results[f"scale_{frac}"] = {"V": res.V, "Gamma": res.Gamma,
                                     "expectation": res.expectation}
         gamma_rows.extend(zip(res.v_grid, res.gamma))
-    _write_rows(out_dir / "gamma.csv", ["v", "gamma"], sorted(set(gamma_rows)))
+    _write_table(out_dir / "gamma.csv", ["v", "gamma"],
+                 np.array(sorted(set(gamma_rows)), float).reshape(-1, 2))
     delta_sq = local_square_deviation(model, deviation_grid(grid, scenario), scenario)
-    _write_rows(out_dir / "delta_sq.csv", ["ell", "delta_sq"], zip(scenario.locations, delta_sq))
+    _write_table(out_dir / "delta_sq.csv", ["ell", "delta_sq"],
+                 np.column_stack([scenario.locations, delta_sq]))
     return {"integrated": results}
 
 
@@ -291,12 +304,12 @@ def cmd_bench(cfg: RunConfig, out_dir: Path, args) -> dict:
     scenario = cfg.scenario()
     result = run_sweep(model, cfg.grid_spec(), opts["n_values"], opts["l_values"], scenario,
                        opts["k"], opts["reps"], cfg.seed)
-    _write_rows(
-        out_dir / "bench.csv",
-        ["method", "N", "L", "reps", "median_s", "min_s", "max_s", "breakdown_json"],
-        ((r.method, r.N, r.L, r.repetitions, r.median_s, r.min_s, r.max_s,
-          json.dumps(r.breakdown)) for r in result.rows),
-    )
+    with open(out_dir / "bench.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "N", "L", "reps", "median_s", "min_s", "max_s",
+                         "breakdown_json"])
+        writer.writerows((r.method, r.N, r.L, r.repetitions, r.median_s, r.min_s, r.max_s,
+                          json.dumps(r.breakdown)) for r in result.rows)
     report = assert_complexity(result, Thresholds(**opts["thresholds"]))
     for line in report.lines():
         print(line)

@@ -162,28 +162,48 @@ def to_deviations(out: OutputProbabilityMatrix, y_ref) -> IpsaMatrix:
     return IpsaMatrix(out.values, common, b, out.locations.copy(), row_offset)
 
 
-def _shortest_interval(masses: np.ndarray, level: float) -> tuple[int, int]:
-    """Shortest contiguous bin run with mass >= level; ties -> lower start.
+# Masses per `_shortest_interval` call in `summarize`: its (L, K) temporaries
+# stay this size however many columns there are.
+_INTERVAL_CELLS = 1 << 15
+
+
+def _shortest_interval(masses: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and last bin of each column's shortest contiguous run of bins
+    with mass >= level, for (K, L) masses; ties -> lower start, and the
+    whole axis where no run is shorter.
 
     Bins [lo, hi) qualify when prefix[hi] - prefix[lo] >= level in floating
     point. That difference is monotone in prefix[hi], so for every start the
-    threshold prefix[lo] + level is moved by single ulps to the least value
-    that passes, and one searchsorted gives the least qualifying end.
+    threshold prefix[lo] + level is moved by single ulps, in all columns at
+    once, to the least value that passes, and one searchsorted per column
+    gives the least qualifying end.
     """
-    K = masses.size
-    prefix = np.concatenate([[0.0], np.cumsum(masses)])
-    start = prefix[:K]
+    K, L = masses.shape
+    prefix = np.zeros((L, K + 1))  # one contiguous row per column, for searchsorted
+    np.cumsum(masses.T, axis=1, out=prefix[:, 1:])
+    start = prefix[:, :K]
     v = start + level
-    while (down := np.nextafter(v, -np.inf) - start >= level).any():
-        v = np.where(down, np.nextafter(v, -np.inf), v)
-    while (up := v - start < level).any():
-        v = np.where(up, np.nextafter(v, np.inf), v)
-    hi = np.searchsorted(prefix, v)  # K + 1 where no end qualifies
+
+    def passes_below(at):  # the next lower threshold still passes
+        return np.nextafter(v[at], -np.inf) - start[at] >= level
+
+    def fails(at):
+        return v[at] - start[at] < level
+
+    # Down while the next lower value passes, then up until it passes; past
+    # one test of every threshold, only the ones still moving are tested.
+    for direction, moving in ((-np.inf, passes_below), (np.inf, fails)):
+        at = np.nonzero(moving(...))
+        while at[0].size:
+            v[at] = np.nextafter(v[at], direction)
+            keep = moving(at)
+            at = tuple(a[keep] for a in at)
+    hi = np.stack([np.searchsorted(p, t) for p, t in zip(prefix, v)])  # K + 1 where none
     lengths = np.where(hi <= K, hi - np.arange(K), K + 1)
-    lo = int(np.argmin(lengths))  # first minimum: the lower start wins ties
-    if lengths[lo] >= K:  # no run shorter than the whole axis
-        return 0, K - 1
-    return lo, lo + int(lengths[lo]) - 1
+    lo = np.argmin(lengths, axis=1)  # first minimum: the lower start wins ties
+    length = lengths[np.arange(L), lo]
+    whole = length >= K  # no run shorter than the whole axis
+    return np.where(whole, 0, lo), np.where(whole, K - 1, lo + length - 1)
 
 
 def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
@@ -207,12 +227,11 @@ def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
     d = c - mean
     variance = np.einsum("kl,kl->l", p, d * d)
     argmax = c[np.argmax(p, axis=0), np.arange(L)]
-    ci_lo = np.empty(L)
-    ci_hi = np.empty(L)
-    for i in range(L):
-        lo, hi = _shortest_interval(p[:, i], level)
-        ci_lo[i] = c[lo, i]
-        ci_hi[i] = c[hi, i]
+    lo, hi = np.empty(L, np.intp), np.empty(L, np.intp)
+    step = max(1, _INTERVAL_CELLS // p.shape[0])
+    for j in range(0, L, step):
+        lo[j:j + step], hi[j:j + step] = _shortest_interval(p[:, j:j + step], level)
+    ci_lo, ci_hi = c[lo, np.arange(L)], c[hi, np.arange(L)]
     marginal = np.bincount(rows.ravel(), weights=(p * weights).ravel(),
                            minlength=ipsa.delta_centers.size)
     total = math.fsum(marginal)

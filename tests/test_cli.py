@@ -1,19 +1,28 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
 from vuprop import grid as grid_module
-from vuprop.cli import _write_heatmap, _write_ipsa, main
+from vuprop.cli import _write_heatmap, _write_ipsa, _write_table, main
 from vuprop.config import RunConfig
 from vuprop.distributions import SUM_TOL, deviation_grid
 from vuprop.engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model
-from vuprop.grid import make_grid
-from vuprop.ipsa import deviation_statistic_matrix, output_matrix, reference_curve, to_deviations
+from vuprop.grid import GridSpec, make_grid
+from vuprop.ipsa import (
+    deviation_statistic_matrix,
+    output_matrix,
+    reference_curve,
+    summarize,
+    to_deviations,
+)
 from vuprop.mc import McConfig, mc_propagate_many
+from vuprop.models import x_first
+from vuprop.variogram import integrated_variogram, local_square_deviation
 
 from ipsa_dense import dense_values
 
@@ -465,6 +474,83 @@ def test_ipsa_writer_gathers_half_bin_ties_and_negative_zero(tmp_path):
     assert (tmp_path / "output_matrix.csv").read_bytes() == (tmp_path / "om.csv").read_bytes()
     assert (tmp_path / "ipsa_matrix.csv").read_bytes() == (tmp_path / "ipsa.csv").read_bytes()
     assert b",-0.0" in (tmp_path / "ipsa_matrix.csv").read_bytes()
+
+
+def _write_rows_csv(path, header, columns):
+    """Reference writer of the float tables: csv.writer over numpy float64
+    scalars, whose str is the repr of the float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+_TABLE_EDGE = [-0.0, 5e-324, 2.0 ** 54, 1e16, np.nan, np.inf, -np.inf, 0.0, 0.1, 1 / 3,
+               -2.5e-7, 123456789.125, 2.0 ** 54 + 2, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("header", [["ell", "mean", "var", "argmax", "ci_lo", "ci_hi"],
+                                    ["delta_y", "probability"], ["ell", "delta_sq"],
+                                    ["v", "gamma"]])
+@pytest.mark.parametrize("n_rows", [0, 1, 14, 40])
+def test_float_tables_bytes_match_csv_writer(tmp_path, header, n_rows):
+    # summary.csv, global_marginal.csv, delta_sq.csv and gamma.csv, each
+    # column a shuffle of the edge values.
+    rng = np.random.default_rng(len(header) * 100 + n_rows)
+    columns = [rng.permutation(np.resize(np.array(_TABLE_EDGE), n_rows)) for _ in header]
+    _write_table(tmp_path / "new.csv", header, np.column_stack(columns))
+    _write_rows_csv(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_ipsa_and_vars_tables_bytes_match_csv_writer(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["ipsa", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert main(["vars", "--config", str(config), "--out-dir", str(out)]) == 0
+    cfg = RunConfig.load(config)
+    model, grid, scenario = cfg.model(), make_grid(cfg.grid_spec()), cfg.scenario()
+    ipsa = to_deviations(output_matrix(model, grid, scenario, 40),
+                         reference_curve(model, scenario.locations))
+    s = summarize(ipsa, cfg.output()["level"], scenario.location_weights())
+    _write_rows_csv(tmp_path / "summary.csv", ["ell", "mean", "var", "argmax", "ci_lo", "ci_hi"],
+                    [s.locations, s.mean, s.variance, s.argmax, s.ci_lower, s.ci_upper])
+    _write_rows_csv(tmp_path / "global_marginal.csv", ["delta_y", "probability"],
+                    [s.global_axis, s.global_marginal])
+    x_dim = grid.spec.dims[grid.spec.x_index()]
+    opts = cfg.vars(None)
+    gamma_rows = set()
+    for frac in opts["scales"]:
+        res = integrated_variogram(x_first(model, grid.spec.x_index()),
+                                   make_grid(GridSpec((x_dim,))),
+                                   frac * (x_dim.upper - x_dim.lower), opts["v_count"],
+                                   [0.0] * (model.arity - 1))
+        gamma_rows |= set(zip(res.v_grid, res.gamma))
+    _write_rows_csv(tmp_path / "gamma.csv", ["v", "gamma"], list(zip(*sorted(gamma_rows))))
+    _write_rows_csv(tmp_path / "delta_sq.csv", ["ell", "delta_sq"],
+                    [scenario.locations,
+                     local_square_deviation(model, deviation_grid(grid, scenario), scenario)])
+    for name in ("summary.csv", "global_marginal.csv", "gamma.csv", "delta_sq.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_write_ipsa_peaks_below_the_file_it_writes(tmp_path):
+    # References spread up to K bins either side of the output range widen
+    # the delta-y axis to about 4K rows. The writer holds the S24 table of the
+    # K x L values and one block of rows at a time: never the file itself.
+    K, L = 200, 1500
+    rng = np.random.default_rng(3)
+    values = rng.random((K, L))
+    values /= values.sum(axis=0)
+    out = OutputProbabilityMatrix(values, OutputBinning(K, 0.0, 1.0), np.linspace(0.0, 1.0, L))
+    ipsa = to_deviations(out, rng.uniform(-0.999, 1.999, L))
+    _write_ipsa(tmp_path, ipsa)  # the cached tables of the first call
+    tracemalloc.start()
+    try:
+        _write_ipsa(tmp_path, ipsa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "ipsa_matrix.csv").stat().st_size
 
 
 def test_ipsa_of_a_linear_model_agrees_at_a_half_bin_location(tmp_path):

@@ -102,12 +102,31 @@ def test_to_deviations_rejects_wrong_reference_length():
         to_deviations(out, np.zeros(5))
 
 
+def _interval(masses, level):
+    """_shortest_interval of one column, as a pair of ints."""
+    lo, hi = _shortest_interval(np.asarray(masses, float)[:, None], level)
+    return int(lo[0]), int(hi[0])
+
+
 def test_shortest_interval_examples():
-    assert _shortest_interval(np.array([0.1, 0.8, 0.1]), 0.8) == (1, 1)
-    assert _shortest_interval(np.array([0.1, 0.8, 0.1]), 0.85) == (0, 1)  # tie -> lower
-    assert _shortest_interval(np.array([0.25, 0.25, 0.25, 0.25]), 0.5) == (0, 1)
-    assert _shortest_interval(np.array([0.04, 0.46, 0.46, 0.04]), 0.9) == (1, 2)
-    assert _shortest_interval(np.ones(4) / 4, 1.0) == (0, 3)
+    assert _interval([0.1, 0.8, 0.1], 0.8) == (1, 1)
+    assert _interval([0.1, 0.8, 0.1], 0.85) == (0, 1)  # tie -> lower
+    assert _interval([0.25, 0.25, 0.25, 0.25], 0.5) == (0, 1)
+    assert _interval([0.04, 0.46, 0.46, 0.04], 0.9) == (1, 2)
+    assert _interval(np.ones(4) / 4, 1.0) == (0, 3)
+
+
+def test_shortest_interval_takes_every_column_at_once():
+    # One (K, L) batch: a three-way tie, a two-way tie, a column whose mass
+    # never reaches the level (the whole axis), and a single bin.
+    masses = np.array([[0.3, 0.02, 0.1, 0.0],
+                       [0.2, 0.46, 0.1, 0.0],
+                       [0.3, 0.46, 0.1, 0.95],
+                       [0.2, 0.06, 0.1, 0.05]])
+    lo, hi = _shortest_interval(masses, 0.5)
+    assert list(zip(lo.tolist(), hi.tolist())) == [(0, 1), (1, 2), (0, 3), (2, 2)]
+    for i in range(masses.shape[1]):
+        assert (lo[i], hi[i]) == _shortest_interval_loop(masses[:, i], 0.5)
 
 
 def test_summarize_fields_against_direct_formulas():
@@ -229,28 +248,35 @@ _level = st.one_of(st.floats(1e-9, 1.0), st.floats(1.0 - 1e-9, 1.0), st.just(1.0
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_mass, min_size=1, max_size=40), _level, st.booleans())
-def test_shortest_interval_matches_loop(raw, level, normalize):
-    masses = np.array(raw)
+@given(st.integers(1, 40), st.integers(1, 6), st.data(), _level, st.booleans())
+def test_shortest_interval_matches_loop(K, L, data, level, normalize):
+    # A (K, L) batch, every column against the loop on its own.
+    masses = np.array(data.draw(st.lists(_mass, min_size=K * L, max_size=K * L))).reshape(K, L)
     if normalize:
-        assume(masses.sum() > 0)
-        masses = masses / masses.sum()
-    assert _shortest_interval(masses, level) == _shortest_interval_loop(masses, level)
+        assume((masses.sum(axis=0) > 0).all())
+        masses = masses / masses.sum(axis=0)
+    lo, hi = _shortest_interval(masses, level)
+    for i in range(L):
+        assert (lo[i], hi[i]) == _shortest_interval_loop(masses[:, i], level)
 
 
 def test_shortest_interval_matches_loop_on_binned_columns():
-    # Gaussian-like columns with zero-mass tails and gaps, as binning leaves them.
+    # Gaussian-like columns with zero-mass tails and gaps, as binning leaves
+    # them, three to a batch.
     rng = np.random.default_rng(5)
-    for _ in range(300):
+    for _ in range(100):
         K = int(rng.integers(1, 300))
-        c = np.arange(K)
-        col = np.exp(-0.5 * ((c - rng.uniform(0, K)) / rng.uniform(0.3, K)) ** 2)
-        col[rng.random(K) < 0.3] = 0.0
-        if col.sum() == 0:
+        c = np.arange(K)[:, None]
+        cols = np.exp(-0.5 * ((c - rng.uniform(0, K, 3)) / rng.uniform(0.3, K, 3)) ** 2)
+        cols[rng.random((K, 3)) < 0.3] = 0.0
+        cols = cols[:, cols.sum(axis=0) > 0]
+        if cols.size == 0:
             continue
-        col /= col.sum()
+        cols /= cols.sum(axis=0)
         for level in (0.5, 0.9, 0.95, 1.0 - 1e-12):
-            assert _shortest_interval(col, level) == _shortest_interval_loop(col, level)
+            lo, hi = _shortest_interval(cols, level)
+            for i in range(cols.shape[1]):
+                assert (lo[i], hi[i]) == _shortest_interval_loop(cols[:, i], level)
 
 
 # --- deviation statistic matrix: two sweeps, same columns --------------------
@@ -527,7 +553,7 @@ def _dense_summary(ipsa, level, weights):
     mean = dense.T @ c
     variance = np.array([col @ (c - m) ** 2 for col, m in zip(dense.T, mean)])
     argmax = c[np.argmax(dense, axis=0)]
-    ci = [_shortest_interval(col, level) for col in dense.T]
+    ci = [_interval(col, level) for col in dense.T]
     marginal = dense @ weights
     return mean, variance, argmax, c[[lo for lo, _ in ci]], c[[hi for _, hi in ci]], (
         marginal / math.fsum(marginal))
