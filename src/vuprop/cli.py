@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -280,11 +281,13 @@ def _binning_from_csv(path):
     and those centers as read, to label its rows with. The first two centers
     set its width; every center must lie within a millionth of a bin width
     of its place on the axis. One center c is one bin, labelled c, that takes
-    every sample."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+    every sample. Only each line's first field is read, up to its first
+    comma: vuprop writes no quoted fields."""
+    with open(path, "rb") as fh:
+        fh.readline()  # the header: the locations
+        firsts = [line.split(b",", 1)[0] for line in fh]
     try:
-        c = [float(row[0]) for row in rows]
+        c = [float(first.decode()) for first in firsts]
         if not c:
             raise GridError("need at least one bin center to infer a binning")
         half = (c[1] - c[0]) / 2 if len(c) > 1 else 0.0
@@ -294,7 +297,7 @@ def _binning_from_csv(path):
             raise GridError(f"{c[int(np.argmax(off))]!r} is off the evenly spaced axis "
                             f"from {c[0]!r} to {c[-1]!r}")
         return binning, np.array(c)
-    except (ValueError, IndexError, GridError) as exc:
+    except (ValueError, GridError) as exc:
         raise VupropError(f"{path}: bin centers: {exc}") from None
 
 
@@ -327,7 +330,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vuprop",
         description="Propagate input probability distributions through "

@@ -37,22 +37,48 @@ def _ell_axis(ell_grid: Grid) -> np.ndarray:
     return ell_grid.axes[0]
 
 
-def _square_diffs(model, ell: np.ndarray, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
-    """(M(ell + v) - M(ell))^2 for every (v, ell) pair, shape (n_v, n_ell):
-    one model call for M(ell) and one for all the shifted rows."""
+# (v, ell) cells per block of the variogram sweep, in whole scale rows: 32
+# rows of 1000 locations, 256 KB per temporary where a whole 200-row sweep
+# held 1.6 MB, so a block's temporaries fit a 2 MB L2 and the sweep's memory
+# does not grow with v_count.
+_CELLS = 1 << 15
+
+
+def _square_diff_blocks(model, ell: np.ndarray, v_nodes: np.ndarray, alpha_ref, upper: float):
+    """(rows, valid, sq) for each block of scale rows, in order: the slice of
+    v_nodes it covers, its (rows, w) mask of the pairs with ell + v <= upper,
+    and (M(ell + v) - M(ell))^2 on those first w locations, shape (rows, w).
+
+    ell ascends, so each row's valid pairs are a prefix of it, and w, the
+    block's widest valid row, bounds them all: no block evaluates the model
+    beyond it, and nothing of size n_v * n_ell is held. M(ell) is evaluated
+    once per call. Every row must hold a valid pair (`_check_scales`)."""
     alpha = () if alpha_ref is None else alpha_ref
     m_ell = eval_at_locations(model, ell, alpha)
-    return (eval_at_locations(model, ell[None, :] + v_nodes[:, None], alpha) - m_ell) ** 2
+    step = max(1, _CELLS // ell.size)
+    for start in range(0, v_nodes.size, step):
+        rows = slice(start, start + step)
+        v = v_nodes[rows, None]
+        valid = ell + v <= upper
+        w = int(valid.sum(axis=1).max())
+        sq = eval_at_locations(model, ell[:w] + v, alpha) - m_ell[:w]
+        yield rows, valid[:, :w], np.square(sq, out=sq)
+
+
+def _check_scales(ell_grid: Grid, v_nodes: np.ndarray) -> None:
+    """Raise when some scale leaves no location ell with ell + v inside the
+    grid. That is the first node's test: fl(ell + v) rises with ell."""
+    empty = ~(_ell_axis(ell_grid)[0] + v_nodes <= ell_grid.spec.dims[0].upper)
+    if empty.any():
+        raise GridError(f"scale v = {v_nodes[np.argmax(empty)]} leaves no locations "
+                        "inside the grid")
 
 
 def _valid_pairs(ell_grid: Grid, v_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n_v, n_ell) mask of the pairs with ell + v inside the grid, and its row counts."""
+    _check_scales(ell_grid, v_nodes)
     valid = _ell_axis(ell_grid)[None, :] + v_nodes[:, None] <= ell_grid.spec.dims[0].upper
-    counts = valid.sum(axis=1)
-    if not counts.all():
-        v = v_nodes[np.argmin(counts)]
-        raise GridError(f"scale v = {v} leaves no locations inside the grid")
-    return valid, counts
+    return valid, valid.sum(axis=1)
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -122,16 +148,22 @@ def _row_fsums(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 def _gammas(model, ell_grid: Grid, v_nodes: np.ndarray, alpha_ref) -> np.ndarray:
     """gamma at every scale: half the fsum-exact mean of each row of squared
-    differences over its valid locations; a non-finite row is an error
-    (pairs beyond the grid are evaluated too, but masked out)."""
+    differences over its valid locations, one block of rows at a time. A row
+    whose exact sum overflows is an error, in whichever block; then so is a
+    non-finite row (pairs beyond the grid may be evaluated, but are masked)."""
     if np.any(v_nodes < 0):
         raise GridError(f"scale v must be >= 0, got {v_nodes.min()}")
-    valid, counts = _valid_pairs(ell_grid, v_nodes)
-    sq = _square_diffs(model, _ell_axis(ell_grid), v_nodes, alpha_ref)
-    try:
-        sums = _row_fsums(sq, valid)
-    except OverflowError:  # a row's exact sum is beyond the float range
-        raise EvaluationError(f"model {model.name!r}: squared differences overflow") from None
+    _check_scales(ell_grid, v_nodes)
+    sums = np.empty(v_nodes.size)
+    counts = np.empty(v_nodes.size, np.int64)
+    blocks = _square_diff_blocks(model, _ell_axis(ell_grid), v_nodes, alpha_ref,
+                                 ell_grid.spec.dims[0].upper)
+    for rows, valid, sq in blocks:
+        counts[rows] = valid.sum(axis=1)
+        try:
+            sums[rows] = _row_fsums(sq, valid)
+        except OverflowError:  # a row's exact sum is beyond the float range
+            raise EvaluationError(f"model {model.name!r}: squared differences overflow") from None
     bad = np.flatnonzero(~np.isfinite(sums))
     if bad.size:
         raise EvaluationError(f"model {model.name!r}: squared differences at scale "
@@ -205,14 +237,20 @@ def generalized_expectation(
         raise GridError(
             f"weights shape {weights.shape} != (n_v, n_ell) = ({v_nodes.size}, {ell.size})"
         )
+    if not np.isfinite(v_nodes).all():
+        raise GridError("scale nodes must be finite")
     if np.any(weights < 0):
         raise GridError("weights must be non-negative")
     total = math.fsum(weights.ravel())
     if abs(total - 1.0) > 1e-6:
         raise GridError(f"weights sum to {total}, expected 1 within 1e-6")
-    rows = weights.any(axis=1)
-    sq = _square_diffs(model, ell, v_nodes[rows], alpha_ref)
-    return math.fsum((weights[rows] * sq / 2.0).ravel())
+    used = weights.any(axis=1)
+    weights = weights[used]
+    products = np.empty_like(weights)
+    # Weights may sit on pairs beyond the grid too: no upper bound, every pair.
+    for rows, _, sq in _square_diff_blocks(model, ell, v_nodes[used], alpha_ref, math.inf):
+        products[rows] = weights[rows] * sq / 2.0
+    return math.fsum(products.ravel())
 
 
 def local_square_deviation(

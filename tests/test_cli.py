@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from vuprop import grid as grid_module
-from vuprop.cli import _write_heatmap, _write_ipsa, _write_table, main
+from vuprop.cli import _parser, _write_heatmap, _write_ipsa, _write_table, main
 from vuprop.config import RunConfig
 from vuprop.distributions import SUM_TOL, deviation_grid
 from vuprop.engine import OutputBinning, OutputProbabilityMatrix, matrix_from_model
@@ -947,10 +947,18 @@ def test_propagate_rejects_a_sidecar_with_a_swapped_range(config, tmp_path, caps
 
 
 @pytest.mark.parametrize("centers", [["abc", "1.0"], ["nan"], ["0.5", "nan"], ["2.0", "1.0"],
-                                     []])
+                                     [], ['"0.5"', '"1.5"'], ["0.5", ""]])
 def test_mc_fixed_binning_from_a_bad_csv_names_the_file(config, tmp_path, capsys, centers):
     csv_path = tmp_path / "bins.csv"
     csv_path.write_text(",-1.0,0.0,1.0\r\n" + "".join(f"{c},0.5,0.5,0.5\r\n" for c in centers))
+    assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                 "--fixed-binning-from", str(csv_path)]) == 1
+    assert f"error: {csv_path}: bin centers: " in capsys.readouterr().err
+
+
+def test_mc_fixed_binning_from_an_undecodable_center_names_the_file(config, tmp_path, capsys):
+    csv_path = tmp_path / "bins.csv"
+    csv_path.write_bytes(b",-1.0,0.0,1.0\r\n\xff0.5,0.5,0.5,0.5\r\n")
     assert main(["mc", "--config", str(config), "--out-dir", str(tmp_path / "out"),
                  "--fixed-binning-from", str(csv_path)]) == 1
     assert f"error: {csv_path}: bin centers: " in capsys.readouterr().err
@@ -992,6 +1000,19 @@ def test_mc_fixed_binning_from_a_500_bin_output_matrix(config, tmp_path):
 def test_bench_seed_flag_is_the_seed_the_manifest_records(tmp_path):
     assert _run_with(tmp_path, "bench", ("seed",), 7, ["--seed", "5"]) == 0
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 5
+
+
+def test_flags_of_one_main_call_do_not_reach_the_next(tmp_path):
+    # One parser serves every call in a process; each call parses afresh.
+    assert _parser() is _parser()
+    manifest = tmp_path / "out" / "manifest.json"
+    assert _run_with(tmp_path, "vars", ("vars", "scales"), [0.5], ["--scales", "0.2,0.4"]) == 0
+    assert set(json.loads(manifest.read_text())["integrated"]) == {"scale_0.2", "scale_0.4"}
+    assert _run_with(tmp_path, "vars", ("vars", "scales"), [0.5]) == 0
+    assert set(json.loads(manifest.read_text())["integrated"]) == {"scale_0.5"}
+    assert _run_with(tmp_path, "bench", ("seed",), 7, ["--seed", "5"]) == 0
+    assert _run_with(tmp_path, "bench", ("seed",), 7) == 0
+    assert json.loads(manifest.read_text())["seed"] == 7
 
 
 SQRT_CONFIG = """

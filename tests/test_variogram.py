@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +22,12 @@ from vuprop import (
     vars_weights,
 )
 from vuprop.distributions import scenario_sigma
-from vuprop.errors import GridError
+from vuprop.errors import EvaluationError, GridError
+from vuprop.models import ModelFunction
 from vuprop.variogram import _row_fsums
+
+# The module: the package's `variogram` attribute is the function.
+variogram_module = importlib.import_module("vuprop.variogram")
 
 
 def _ell_grid(lower=0.0, upper=10.0, count=500):
@@ -53,6 +59,10 @@ def test_variogram_shrinks_ell_range():
         variogram(model, g, 11.0)
     with pytest.raises(GridError):
         variogram(model, g, -0.1)
+    # ell + v == upper exactly (9.5 + 0.5) is inside: the last location counts.
+    ell = _ell_grid(0, 10, 10).axes[0]
+    assert variogram(model, _ell_grid(0, 10, 10), 0.5) == (
+        math.fsum(((ell + 0.5) ** 2 - ell**2) ** 2) / 20)
 
 
 def test_integrated_variogram_linear_closed_form():
@@ -103,6 +113,8 @@ def test_generalized_expectation_validation():
         generalized_expectation(model, g, v_nodes, w)
     with pytest.raises(GridError, match="sum"):
         generalized_expectation(model, g, v_nodes, np.full((2, 10), 0.1))
+    with pytest.raises(GridError, match="finite"):
+        generalized_expectation(model, g, np.array([0.5, np.nan]), np.full((2, 10), 0.05))
 
 
 def test_alpha_ref_threading():
@@ -231,6 +243,97 @@ def test_integrated_variogram_gamma_is_bitwise_per_scale(model, alpha_ref):
     oracle = [_gamma_fsum(model, g, v, alpha_ref) for v in res.v_grid]
     assert np.array_equal(res.gamma, per_scale)
     assert np.array_equal(res.gamma, oracle)
+
+
+# --- blocks of scale rows: the same gamma at every block size ---------------
+
+# 333 locations: one-row blocks, three-row blocks ending in a partial one of
+# two rows (197 = 65 * 3 + 2), and the default's 98-row blocks ending in one
+# of a single row.
+_BLOCK_CELLS = [333, 3 * 333, variogram_module._CELLS]
+
+
+@pytest.mark.parametrize("cells", _BLOCK_CELLS)
+@pytest.mark.parametrize("model, alpha_ref", [
+    (builtin("ipsa2d"), 0.3),
+    (parse_expression("x^3 - 4*sin(x)", ["x"]), None),
+])
+def test_gamma_is_bitwise_at_every_block_size(monkeypatch, cells, model, alpha_ref):
+    monkeypatch.setattr(variogram_module, "_CELLS", cells)
+    g = _ell_grid(0, 10, 333)
+    res = integrated_variogram(model, g, V=9.9, v_count=197, alpha_ref=alpha_ref)
+    oracle = [_gamma_fsum(model, g, v, alpha_ref) for v in res.v_grid]
+    assert np.array_equal(res.gamma, oracle)
+    assert np.array_equal(res.gamma, [variogram(model, g, v, alpha_ref) for v in res.v_grid])
+
+
+@pytest.mark.parametrize("cells", _BLOCK_CELLS)
+def test_generalized_expectation_counts_every_weighted_pair(monkeypatch, cells):
+    # Weights on pairs beyond the grid count too: the blocks run unbounded.
+    monkeypatch.setattr(variogram_module, "_CELLS", cells)
+    g = _ell_grid(0, 10, 333)
+    model = parse_expression("x^3 - 4*sin(x)", ["x"])
+    v_nodes = np.linspace(0.0, 12.0, 197)
+    weights = np.random.default_rng(5).random((197, 333))
+    weights[::4] = 0.0
+    weights /= weights.sum()
+    ell = g.axes[0]
+    sq = (model.raw(ell[None, :] + v_nodes[:, None]) - model.raw(ell)) ** 2
+    want = math.fsum((weights * sq / 2.0).ravel())
+    assert generalized_expectation(model, g, v_nodes, weights) == want
+
+
+def _model(name, fn):
+    return ModelFunction(name, 1, fn)
+
+
+@pytest.mark.parametrize("cells", _BLOCK_CELLS)
+def test_model_non_finite_only_beyond_the_grid_is_accepted(monkeypatch, cells):
+    # nan for x > 10: pairs ell + v beyond the grid, evaluated inside a block
+    # of rows wider than their own valid prefix, but masked out.
+    monkeypatch.setattr(variogram_module, "_CELLS", cells)
+    g = _ell_grid(0, 10, 333)
+    model = _model("edge", lambda x: np.where(x <= 10.0, x * x, np.nan))
+    res = integrated_variogram(model, g, V=9.9, v_count=197)
+    assert np.isfinite(res.gamma).all()
+    assert np.array_equal(res.gamma, [_gamma_fsum(model, g, v, None) for v in res.v_grid])
+
+
+@pytest.mark.parametrize("cells", _BLOCK_CELLS)
+def test_in_grid_non_finite_and_overflow_keep_their_messages(monkeypatch, cells):
+    monkeypatch.setattr(variogram_module, "_CELLS", cells)
+    g = _ell_grid(0, 10, 333)
+    node = g.axes[0][330]  # 9.925...: a valid location for v <= 0.075 only
+    with pytest.raises(EvaluationError, match=r"at scale v = 0\.0251.* sum to nan"):
+        integrated_variogram(_model("hole", lambda x: np.where(x == node, np.nan, x)),
+                             g, V=9.9, v_count=197)
+    # Each (1e153 v)^2 is finite, but their sum overflows from v = 0.779 on.
+    # The nan rows (v = 0.025 and 0.075) come first, in earlier blocks when
+    # blocks are small, and overflow is still the error; alone, they give the
+    # nan message.
+    steep = _model("steep", lambda x: np.where(x == node, np.nan, 1e153 * x))
+    with pytest.raises(EvaluationError, match="squared differences overflow"):
+        integrated_variogram(steep, g, V=9.9, v_count=197)
+    with pytest.raises(EvaluationError, match=r"at scale v = 0\.025 sum to nan"):
+        integrated_variogram(steep, g, V=0.1, v_count=2)
+
+
+def test_integrated_variogram_memory_does_not_grow_with_v_count():
+    g = _ell_grid(-4.0, 4.0, 1000)
+    model = parse_expression("x^2 + 5*sin(3*x) + a", ["x", "a"])
+    peaks = []
+    for v_count in (200, 2000):
+        integrated_variogram(model, g, V=4.0, v_count=v_count, alpha_ref=[0.0])
+        tracemalloc.start()
+        try:
+            integrated_variogram(model, g, V=4.0, v_count=v_count, alpha_ref=[0.0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # A few scale-long arrays grow with v_count (about 80 bytes a scale
+    # here), nothing with v_count * n_ell: one (v_count, n_ell) float array
+    # would add 8,000 bytes a scale.
+    assert peaks[1] - peaks[0] <= 100 * 1800, peaks
 
 
 # --- _row_fsums: the vectorised sum behind gamma, against math.fsum ----------
