@@ -8,16 +8,14 @@ Monte Carlo baseline and a scaling benchmark harness.
 
 __version__ = "0.1.0"
 
-from .grid import Dim, Grid, GridSpec, flat_index, make_grid, multi_index
+from .grid import Dim, Grid, GridSpec, make_grid
 from .models import ModelFunction, builtin, eval_on_grid, parse_expression
 from .distributions import (
     MeasurementScenario,
     ProbabilityMatrix,
     ProbabilityVector,
-    delta_on_grid,
     gaussian_on_grid,
     scenario_matrix,
-    uniform_on_grid,
 )
 from .engine import (
     InvertedModelMatrix,
@@ -34,14 +32,7 @@ from .engine import (
     propagate_scenario,
     save_matrix,
 )
-from .mc import (
-    McConfig,
-    delta_sampler,
-    gaussian_sampler,
-    mc_propagate,
-    mc_propagate_many,
-    uniform_sampler,
-)
+from .mc import McConfig, gaussian_sampler, mc_propagate, mc_propagate_many
 from .ipsa import (
     IpsaMatrix,
     SummaryFields,

@@ -211,8 +211,8 @@ def cmd_ipsa(cfg: RunConfig, out_dir: Path, args) -> dict:
         out = output_matrix(model, grid, scenario, opts["k"],
                             shared_matrix=opts["shared_matrix"])
         ipsa = to_deviations(out, reference_curve(x_first(model, xd), scenario.locations))
-    _write_ipsa(out_dir, ipsa, out)
     summary = summarize(ipsa, opts["level"], scenario.location_weights())
+    _write_ipsa(out_dir, ipsa, out)
     _write_table(out_dir / "summary.csv", ["ell", "mean", "var", "argmax", "ci_lo", "ci_hi"],
                  np.column_stack([summary.locations, summary.mean, summary.variance,
                                   summary.argmax, summary.ci_lower, summary.ci_upper]))
@@ -241,9 +241,9 @@ def cmd_vars(cfg: RunConfig, out_dir: Path, args) -> dict:
         results[f"scale_{frac}"] = {"V": res.V, "Gamma": res.Gamma,
                                     "expectation": res.expectation}
         gamma_rows.extend(zip(res.v_grid, res.gamma))
+    delta_sq = local_square_deviation(model, deviation_grid(grid, scenario), scenario)
     _write_table(out_dir / "gamma.csv", ["v", "gamma"],
                  np.array(sorted(set(gamma_rows)), float).reshape(-1, 2))
-    delta_sq = local_square_deviation(model, deviation_grid(grid, scenario), scenario)
     _write_table(out_dir / "delta_sq.csv", ["ell", "delta_sq"],
                  np.column_stack([scenario.locations, delta_sq]))
     return {"integrated": results}

@@ -48,12 +48,6 @@ class ProbabilityVector:
                 f"probability vector has length {self.values.shape}, grid has {self.grid.size} cells"
             )
 
-    def check(self):
-        if np.any(self.values < 0):
-            raise DegenerateDistributionError("negative probability mass")
-        if abs(math.fsum(self.values) - 1.0) > SUM_TOL:
-            raise DegenerateDistributionError("probability vector does not sum to 1")
-
 
 @dataclass(frozen=True)
 class ProbabilityMatrix:
@@ -141,31 +135,6 @@ def gaussian_on_grid(grid: Grid, mean, sigma) -> ProbabilityVector:
             f"Gaussian at mean {tuple(mean)} carries no mass on {grid!r} "
             "(mean too far outside the grid)"
         ) from None
-    return ProbabilityVector(values, grid)
-
-
-def uniform_on_grid(grid: Grid) -> ProbabilityVector:
-    return ProbabilityVector(np.full(grid.size, 1.0 / grid.size), grid)
-
-
-def delta_on_grid(grid: Grid, point) -> ProbabilityVector:
-    """All mass on the cell nearest to point; ties break to the lower index."""
-    point = np.atleast_1d(np.asarray(point, float))
-    if point.size != grid.ndim:
-        raise GridError(f"point needs {grid.ndim} components, got {point.size}")
-    idx = []
-    for d, dim in enumerate(grid.spec.dims):
-        if not dim.lower <= point[d] <= dim.upper:
-            raise GridError(
-                f"point component {d} = {point[d]} outside [{dim.lower}, {dim.upper}]"
-            )
-        axis = grid.axes[d]
-        dist = np.abs(axis - point[d])
-        # argmin returns the first (lowest-index) minimizer: the tie-break rule.
-        idx.append(int(np.argmin(dist)))
-    flat = int(np.ravel_multi_index(tuple(idx), grid.spec.counts))
-    values = np.zeros(grid.size)
-    values[flat] = 1.0
     return ProbabilityVector(values, grid)
 
 

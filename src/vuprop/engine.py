@@ -75,10 +75,6 @@ class OutputBinning:
         b = (self.y_max - self.y_min) / self.K
         return self.y_min + (np.arange(self.K) + 0.5) * b
 
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.K + 1)
-
     def assign(self, y: np.ndarray) -> np.ndarray:
         """Bin index per value: floor((y - y_min)/b), clamped into [0, K-1].
 

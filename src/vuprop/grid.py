@@ -89,13 +89,12 @@ class GridSpec:
 
 
 class Grid:
-    """Realized grid: node coordinates, per-dimension steps, cell volume."""
+    """Realized grid: the spec and the node coordinates of each axis; a
+    dimension's step is `Dim.step`."""
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         self.axes = [d.nodes() for d in spec.dims]
-        self.steps = np.array([d.step for d in spec.dims])
-        self.cell_volume = float(np.prod(self.steps))
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -141,21 +140,3 @@ class Grid:
 def make_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
 
-
-def flat_index(grid: Grid, multi_index) -> int:
-    """Row-major flat index of a multi-index; rejects out-of-range components."""
-    counts = grid.spec.counts
-    multi = tuple(int(m) for m in multi_index)
-    if len(multi) != len(counts):
-        raise GridError(f"multi-index has {len(multi)} components, grid has {len(counts)}")
-    for d, (m, c) in enumerate(zip(multi, counts)):
-        if not 0 <= m < c:
-            raise GridError(f"multi-index component {d} = {m} outside [0, {c})")
-    return int(np.ravel_multi_index(multi, counts))
-
-
-def multi_index(grid: Grid, flat: int) -> tuple[int, ...]:
-    """Inverse of flat_index."""
-    if not 0 <= flat < grid.size:
-        raise GridError(f"flat index {flat} outside [0, {grid.size})")
-    return tuple(int(i) for i in np.unravel_index(flat, grid.spec.counts))

@@ -208,7 +208,9 @@ def _shortest_interval(masses: np.ndarray, level: float) -> tuple[np.ndarray, np
 
 def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
     """Per-location moments, argmax and confidence interval over each column's
-    own K bins, plus the location-weighted global marginal on the delta-y axis."""
+    own K bins, plus the location-weighted global marginal on the delta-y axis.
+    A location whose squared deviations from its mean overflow (its variance
+    is then not finite) is an EvaluationError naming it."""
     if not 0.0 < level < 1.0:
         raise GridError(f"confidence level must be in (0, 1), got {level}")
     L = ipsa.n_locations
@@ -224,8 +226,13 @@ def summarize(ipsa: IpsaMatrix, level: float, weights=None) -> SummaryFields:
     mean = np.einsum("kl,kl->l", p, c)
     # Two-pass variance (Chan, Golub & LeVeque 1983): a sum of non-negative
     # terms, where E[c^2] - mean^2 can cancel to a negative.
-    d = c - mean
-    variance = np.einsum("kl,kl->l", p, d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan: checked below
+        d = c - mean
+        variance = np.einsum("kl,kl->l", p, d * d)
+    bad = np.flatnonzero(~np.isfinite(variance))
+    if bad.size:
+        raise EvaluationError(f"squared deviations from the mean overflow at location "
+                              f"{float(ipsa.locations[bad[0]])!r}")
     argmax = c[np.argmax(p, axis=0), np.arange(L)]
     lo, hi = np.empty(L, np.intp), np.empty(L, np.intp)
     step = max(1, _INTERVAL_CELLS // p.shape[0])

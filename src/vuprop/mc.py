@@ -24,17 +24,12 @@ _KEY_MASK = 2 ** 64 - 1
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Continuous input distribution matched to the grid-based families.
+    """Product Gaussian truncated to bounds, drawn by rejection: the
+    continuous counterpart of `distributions.gaussian_on_grid`."""
 
-    kind "gaussian": product Gaussian truncated to bounds by rejection;
-    kind "uniform": uniform over bounds; kind "delta": point mass at `point`.
-    """
-
-    kind: str
     bounds: tuple  # ((lo, hi), ...) per dimension
-    mean: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    point: np.ndarray | None = None
+    mean: np.ndarray
+    sigma: np.ndarray
 
     @property
     def ndim(self) -> int:
@@ -43,9 +38,8 @@ class SamplerSpec:
 
 def gaussian_sampler(grid: Grid, mean, sigma) -> SamplerSpec:
     bounds = tuple((d.lower, d.upper) for d in grid.spec.dims)
-    return SamplerSpec("gaussian", bounds,
-                       mean=np.atleast_1d(np.asarray(mean, float)),
-                       sigma=np.atleast_1d(np.asarray(sigma, float)))
+    return SamplerSpec(bounds, np.atleast_1d(np.asarray(mean, float)),
+                       np.atleast_1d(np.asarray(sigma, float)))
 
 
 def location_sampler(grid: Grid, scenario: MeasurementScenario, ell: float) -> SamplerSpec:
@@ -53,15 +47,6 @@ def location_sampler(grid: Grid, scenario: MeasurementScenario, ell: float) -> S
     mean = np.zeros(grid.ndim)
     mean[grid.spec.x_index()] = ell
     return gaussian_sampler(grid, mean, scenario_sigma(grid, scenario))
-
-
-def uniform_sampler(grid: Grid) -> SamplerSpec:
-    return SamplerSpec("uniform", tuple((d.lower, d.upper) for d in grid.spec.dims))
-
-
-def delta_sampler(grid: Grid, point) -> SamplerSpec:
-    return SamplerSpec("delta", tuple((d.lower, d.upper) for d in grid.spec.dims),
-                       point=np.atleast_1d(np.asarray(point, float)))
 
 
 @dataclass(frozen=True)
@@ -96,14 +81,8 @@ def draw_samples(sampler: SamplerSpec, n: int, seed) -> np.ndarray:
     """(n, ndim) i.i.d. samples; deterministic given the seed."""
     rng = _rng(seed)
     nd = sampler.ndim
-    if sampler.kind == "delta":
-        return np.tile(sampler.point, (n, 1))
     lo = np.array([b[0] for b in sampler.bounds])
     hi = np.array([b[1] for b in sampler.bounds])
-    if sampler.kind == "uniform":
-        return rng.uniform(lo, hi, size=(n, nd))
-    if sampler.kind != "gaussian":
-        raise GridError(f"unknown sampler kind {sampler.kind!r}")
     out = np.empty((n, nd))
     normals = keep = inside = None  # batch buffers, sized by the first batch
     n_accepted = 0

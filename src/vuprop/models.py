@@ -338,14 +338,15 @@ def _eval_broadcast(model: ModelFunction, grid: Grid, x: np.ndarray) -> np.ndarr
 def eval_deviation(model: ModelFunction, grid: Grid, ell: float) -> np.ndarray:
     """M(ell + x, alpha) - M(ell, alpha) on a grid whose x is the deviation
     from ell, in `_eval_broadcast`'s view, with M(ell, alpha) evaluated on the
-    N / nx alpha nodes only. Both terms are checked finite. The result is a
-    fresh array the caller may overwrite: the model's own output buffer when
-    it is writable, else the difference's."""
+    N / nx alpha nodes only. The result is a fresh array the caller may
+    overwrite: the model's own output buffer when it is writable, else the
+    difference's. It is not checked: it is non-finite wherever a term is, or
+    the difference overflows, and each of the two callers checks its sweep
+    once (`variogram.local_square_deviation`, `ipsa._binned_sweep`)."""
     shifted = _eval_broadcast(model, grid, grid.axes[grid.spec.x_index()] + ell)
     ref = _eval_broadcast(model, grid, np.array([float(ell)]))
-    if not all(math.isfinite(y.min()) and math.isfinite(y.max()) for y in (shifted, ref)):
-        raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
-    return np.subtract(shifted, ref, out=shifted if shifted.flags.writeable else None)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, checked later
+        return np.subtract(shifted, ref, out=shifted if shifted.flags.writeable else None)
 
 
 def x_first(model: ModelFunction, xd: int) -> ModelFunction:

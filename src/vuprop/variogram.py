@@ -265,12 +265,23 @@ def local_square_deviation(
     coordinates, so half the sum of p * s^2 contracts s^2 with one set of
     per-axis factors (scenario_factors at the single location 0, already
     normalized), built once: no N-length weight vector and no fsum over N.
+
+    A location whose deviation is non-finite, or whose square overflows, is
+    an EvaluationError naming it.
     """
     f = scenario_factors(grid, scenario.at(0.0))
     out = np.empty(scenario.n_locations)
     for i, ell in enumerate(scenario.locations):
         # Squared in place: one N-sized array per location, not three.
         sq = eval_deviation(model, grid, ell)
-        sq *= sq
+        with np.errstate(over="ignore"):
+            sq *= sq
+        # One check of the whole sweep: squares are >= 0, a nan reaches the max.
+        if not math.isfinite(sq.max()):
+            dev = eval_deviation(model, grid, ell)  # a bad term, or a square too large?
+            if math.isfinite(dev.min()) and math.isfinite(dev.max()):
+                raise EvaluationError(f"model {model.name!r}: squared deviation overflows "
+                                      f"at ell={ell}")
+            raise EvaluationError(f"model {model.name!r} non-finite on shifted grid at ell={ell}")
         out[i] = 0.5 * float(f.pre @ (sq @ f.post) @ f.x_block[0])
     return out

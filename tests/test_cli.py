@@ -935,6 +935,22 @@ def test_vars_ignores_nan_beyond_the_grid(tmp_path):
     assert np.isfinite(_read_numbers(out / "gamma.csv")).all()
 
 
+@pytest.mark.parametrize("command, expression, message", [
+    ("vars", "a*1e200*x", "squared deviation overflows at ell=-1.0"),
+    ("ipsa", "1e200*x + a", "squared deviations from the mean overflow at location -1.0"),
+])
+def test_deviations_whose_squares_overflow_are_a_runtime_error(tmp_path, capsys, command,
+                                                               expression, message):
+    # Deviations near 1e200 are finite, their squares are not. vars' gamma is
+    # 0 at alpha_ref = 0, so only delta_sq meets them. Nothing is written.
+    config = _expression_config(tmp_path, "huge.yaml", expression,
+                                "vars: {scales: [0.1], v_count: 10}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_propagate_rejects_a_sidecar_with_a_swapped_range(config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["build-matrix", "--config", str(config), "--out-dir", str(out)]) == 0

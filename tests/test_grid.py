@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from vuprop import Dim, GridSpec, flat_index, make_grid, multi_index
+from vuprop import Dim, GridSpec, make_grid
 from vuprop import grid as grid_module
 from vuprop.errors import GridError
 
@@ -10,14 +9,13 @@ from vuprop.errors import GridError
 def test_midpoint_nodes_1d():
     g = make_grid(GridSpec((Dim("x", 0, 4, 4),)))
     assert np.allclose(g.nodes.ravel(), [0.5, 1.5, 2.5, 3.5])
-    assert g.steps[0] == 1.0
-    assert g.cell_volume == 1.0
+    assert g.spec.dims[0].step == 1.0
 
 
 def test_single_cell():
     g = make_grid(GridSpec((Dim("x", 0, 1, 1),)))
     assert g.nodes.ravel().tolist() == [0.5]
-    assert g.cell_volume == 1.0
+    assert g.spec.dims[0].step == 1.0
 
 
 def test_2d_first_node():
@@ -57,24 +55,6 @@ def test_row_major_order_x_slowest():
     assert not np.allclose(g.nodes[2, 1], g.nodes[3, 1])
 
 
-def test_flat_index_examples():
-    g = make_grid(GridSpec((Dim("x", 0, 1, 10), Dim("y", 0, 1, 10))))
-    assert flat_index(g, (0, 0)) == 0
-    assert flat_index(g, (1, 0)) == 10
-    g3 = make_grid(GridSpec((Dim("a", 0, 1, 2), Dim("b", 0, 1, 3), Dim("c", 0, 1, 4))))
-    assert flat_index(g3, (1, 2, 3)) == 1 * 12 + 2 * 4 + 3
-
-
-def test_flat_index_rejects_out_of_range():
-    g = make_grid(GridSpec((Dim("x", 0, 1, 3),)))
-    with pytest.raises(GridError):
-        flat_index(g, (3,))
-    with pytest.raises(GridError):
-        flat_index(g, (-1,))
-    with pytest.raises(GridError):
-        multi_index(g, 3)
-
-
 @pytest.mark.parametrize("bad", [
     dict(lower=1.0, upper=1.0),
     dict(lower=2.0, upper=1.0),
@@ -87,14 +67,6 @@ def test_invalid_dims(bad):
     kwargs.update(bad)
     with pytest.raises(GridError):
         Dim(**kwargs)
-
-
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.data())
-def test_flat_multi_round_trip(counts, data):
-    dims = tuple(Dim(f"d{i}", 0, 1, c) for i, c in enumerate(counts))
-    g = make_grid(GridSpec(dims))
-    multi = tuple(data.draw(st.integers(0, c - 1)) for c in counts)
-    assert multi_index(g, flat_index(g, multi)) == multi
 
 
 def test_node_count_and_interiority():

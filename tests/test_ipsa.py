@@ -27,7 +27,7 @@ from vuprop import (
     to_deviations,
 )
 from vuprop.distributions import scenario_factors, scenario_sigma
-from vuprop.ipsa import _shortest_interval
+from vuprop.ipsa import IpsaMatrix, _shortest_interval
 from vuprop.errors import EvaluationError, GridError
 
 from ipsa_dense import dense_values
@@ -178,6 +178,18 @@ def test_summarize_variance_is_never_negative(deviation):
         assert s.mean[i] == pytest.approx(math.fsum(p * c), rel=1e-12)
         # The second pass around the mean summarize returns, summed exactly.
         assert s.variance[i] == pytest.approx(_two_pass_fsum(p, c, s.mean[i]), rel=1e-12)
+
+
+def test_summarize_names_the_location_whose_squared_deviations_overflow():
+    # Bins 1.5e154 apart: squared deviations from a mean near either end
+    # overflow, from one in the middle they do not. Times a zero mass the
+    # overflow is nan (location 2.0), times a positive one inf (3.0).
+    dev = IpsaMatrix(np.array([[0.5, 1.0, 0.99], [0.5, 0.0, 0.01]]), np.array([0.0, 1.5e154]),
+                     1.5e154, np.array([-1.0, 2.0, 3.0]), np.zeros(3, np.int64))
+    with pytest.raises(EvaluationError, match=r"overflow at location 2\.0$"):
+        summarize(dev, level=0.9)
+    assert summarize(replace(dev, values=dev.values[:, :1], locations=dev.locations[:1],
+                             row_offset=dev.row_offset[:1]), level=0.9).variance[0] > 0
 
 
 def test_summarize_validation():

@@ -10,7 +10,6 @@ from vuprop import (
     MeasurementScenario,
     OutputBinning,
     builtin,
-    delta_sampler,
     gaussian_sampler,
     make_grid,
     matrix_from_model,
@@ -19,7 +18,6 @@ from vuprop import (
     parse_expression,
     propagate_many,
     scenario_matrix,
-    uniform_sampler,
 )
 from vuprop.mc import draw_samples, location_seed
 from vuprop.errors import DegenerateDistributionError, GridError
@@ -49,15 +47,6 @@ def test_gaussian_sample_moments():
     # Effectively untruncated at +-25 sigma-equivalents.
     assert x.mean() == pytest.approx(1.0, abs=0.02)
     assert x.std() == pytest.approx(2.0, abs=0.02)
-
-
-def test_uniform_and_delta_samplers():
-    g = make_grid(GridSpec((Dim("x", 2, 3, 5),)))
-    u = draw_samples(uniform_sampler(g), 10_000, seed=0)[:, 0]
-    assert np.all((u >= 2) & (u <= 3))
-    assert u.mean() == pytest.approx(2.5, abs=0.02)
-    d = draw_samples(delta_sampler(g, 2.25), 100, seed=0)
-    assert np.all(d == 2.25)
 
 
 def _draw_in_chunks(sampler, n, seed):
@@ -115,7 +104,8 @@ def test_mc_propagate_normalized_own_range():
 def test_mc_delta_all_in_one_bin():
     g = make_grid(GridSpec((Dim("x", -4, 4, 8),)))
     probs, binning = mc_propagate(
-        parse_expression("x", ["x"]), delta_sampler(g, 1.5), McConfig(1000, 10, seed=0)
+        parse_expression("0*x + 1.5", ["x"]), gaussian_sampler(g, 0.0, 1.0),
+        McConfig(1000, 10, seed=0)
     )
     assert binning.K == 1  # constant output collapses the range
     assert probs.tolist() == [1.0]

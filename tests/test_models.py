@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vuprop import Dim, GridSpec, builtin, eval_on_grid, make_grid, parse_expression
+from vuprop import (
+    Dim, GridSpec, MeasurementScenario, builtin, deviation_statistic_matrix, eval_on_grid,
+    local_square_deviation, make_grid, parse_expression,
+)
 from vuprop import grid as grid_module
 from vuprop.errors import EvaluationError, ExpressionError
 from vuprop.models import (
@@ -189,7 +193,18 @@ def test_models_are_deterministic():
 
 
 # The eval_shifted tests below check eval_deviation, the evaluation on the
-# grid shifted by ell minus its reference at ell.
+# grid shifted by ell minus its reference at ell, and the one finiteness
+# check of its outputs that each of its two callers makes.
+
+def _deviation_sweeps(model, grid, ell):
+    """(message, call) for each caller of eval_deviation on the deviation
+    grid `grid` at the one location ell."""
+    scenario = MeasurementScenario([ell], 0.25, 0.25)
+    return [(rf"non-finite on shifted grid at ell={re.escape(str(ell))}$",
+             lambda: local_square_deviation(model, grid, scenario)),
+            (rf"^non-finite model outputs at location {re.escape(str(ell))}$",
+             lambda: deviation_statistic_matrix(model, grid, scenario, 5))]
+
 
 def test_eval_shifted_views_and_values():
     # x in the middle: (n_pre, nx, n_post) = (3, 5, 4).
@@ -227,10 +242,14 @@ def test_eval_shifted_hands_over_only_fresh_outputs():
 
 def test_eval_shifted_errors():
     g = make_grid(GridSpec((Dim("x", -1, 1, 4), Dim("a", -1, 1, 3, "alpha"))))
-    with pytest.raises(EvaluationError, match=r"non-finite on shifted grid at ell=0\.0"):
-        eval_deviation(parse_expression("1/x + a", ["x", "a"]), g, 0.0)  # 1/ell
     with pytest.raises(EvaluationError, match="arity"):
         eval_deviation(parse_expression("x", ["x"]), g, 0.0)
+    # A non-finite term passes through, unwarned, to the callers' checks.
+    inf = ModelFunction("inf", 2, lambda x, a: np.full(np.broadcast(x, a).shape, np.inf))
+    assert np.isnan(eval_deviation(inf, g, 0.0)).all()
+    for message, sweep in _deviation_sweeps(parse_expression("1/x + a", ["x", "a"]), g, 0.0):
+        with pytest.raises(EvaluationError, match=message):
+            sweep()  # 1/ell
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -244,10 +263,13 @@ def test_eval_shifted_rejects_non_finite_outputs_in_either_part(bad, where):
     def fn(x, a):
         return np.where(x == at, bad, x) + a
 
-    with pytest.raises(EvaluationError, match=r"non-finite on shifted grid at ell=0\.25"):
-        eval_deviation(ModelFunction("bad", 2, fn), g, ell)
+    for message, sweep in _deviation_sweeps(ModelFunction("bad", 2, fn), g, ell):
+        with pytest.raises(EvaluationError, match=message):
+            sweep()
     finite = ModelFunction("ok", 2, lambda x, a: x + a)
     assert np.isfinite(eval_deviation(finite, g, ell)).all()
+    for _, sweep in _deviation_sweeps(finite, g, ell):
+        sweep()
 
 
 def test_x_first_moves_the_x_input_to_the_front():

@@ -178,6 +178,17 @@ def test_local_square_deviation_is_per_location():
     assert len(set(alone)) == 3
 
 
+def test_local_square_deviation_names_the_location_whose_square_overflows():
+    # Beyond x = 1 the deviations are 1e200 times larger: finite, but their
+    # squares are not, at the location 3.0 only.
+    grid = make_grid(GridSpec((Dim("x", -1.6, 1.6, 32), Dim("a", -1, 1, 5, "alpha"))))
+    model = ModelFunction("steep", 2, lambda x, a: np.where(x > 1.0, 1e200, 1.0) * x + a)
+    sc = MeasurementScenario([-1.0, 3.0], 0.4, 0.25)
+    assert np.isfinite(local_square_deviation(model, grid, sc.at(-1.0))).all()
+    with pytest.raises(EvaluationError, match=r"'steep': squared deviation overflows at ell=3\.0$"):
+        local_square_deviation(model, grid, sc)
+
+
 def test_variogram_requires_1d_grid():
     g = make_grid(GridSpec((Dim("x", 0, 1, 4), Dim("a", 0, 1, 4, "alpha"))))
     with pytest.raises(GridError):
